@@ -38,7 +38,7 @@ let counter name = Mad_obs.Registry.counter_value (dreg ()) name
    (latencies, minor words, promoted words) — GC counters are
    domain-local in OCaml 5, so each reader samples its own deltas. *)
 let reader srv ~drop ~at_least ~stop =
-  let clock = !Mad_obs.Span.clock in
+  let clock = !Mad_obs.Monotonic.clock in
   let m0 = Gc.minor_words () and g0 = Gc.quick_stat () in
   let lats =
     match Client.connect ~host:"127.0.0.1" (Serve.port srv) with

@@ -71,7 +71,7 @@ let run () =
   let kernel_work () = Mad_recursive.Recursive.m_dom ~kernel:true db d in
   (* the statement path journals a span per operator: the worst
      realistic span-to-work ratio *)
-  let obs = Mad_obs.Obs.create ~tracing:false () in
+  let obs = Mad_obs.Obs.create () in
   let session = Mad_mql.Session.create ~obs db in
   let stmt =
     "SELECT ALL FROM part RECURSIVE BY composition DEPTH 2 WHERE part.pname \
@@ -126,7 +126,7 @@ let run () =
   Prima.Adaptive.install ();
   let q1 = "SELECT ALL FROM mt_state(state-area-edge-point);" in
   let mk () =
-    Mad_mql.Session.create ~obs:(Mad_obs.Obs.create ~tracing:false ()) brazil
+    Mad_mql.Session.create ~obs:(Mad_obs.Obs.create ()) brazil
   in
   let s_plain = mk () and s_digest = mk () in
   ignore (Mad_mql.Session.enable_digest s_digest);

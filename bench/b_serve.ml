@@ -31,7 +31,7 @@ let quantile sorted q =
    the round sums them — reading [Gc.minor_words] from the spawning
    domain would miss every word the writers allocated. *)
 let round srv ~tag ~writers ~per =
-  let clock = !Mad_obs.Span.clock in
+  let clock = !Mad_obs.Monotonic.clock in
   let t0 = clock () in
   let doms =
     List.init writers (fun w ->

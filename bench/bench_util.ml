@@ -1,14 +1,11 @@
 (* Shared measurement helpers for the experiment harness: a thin
    Bechamel wrapper returning ns/run estimates, and formatting.
 
-   Every measurement is also emitted as a "bench" event on the default
-   observability context, so MAD_OBS=json (or json:FILE) turns any
-   bench run into a machine-readable JSON-lines log. *)
+   Every measurement is also a row of BENCH_RESULTS.json, the
+   harness's machine-readable output (see [write_results]). *)
 
 open Bechamel
 open Toolkit
-
-let obs = Mad_obs.Obs.default ()
 
 let quota =
   match Sys.getenv_opt "BENCH_QUOTA_MS" with
@@ -58,7 +55,7 @@ let sample_latency name f =
       ~labels:[ ("bench", name) ]
       ~bounds:Mad_obs.Metric.latency_bounds_us registry "bench.latency_us"
   in
-  let clock = !Mad_obs.Span.clock in
+  let clock = !Mad_obs.Monotonic.clock in
   let deadline = clock () +. quota in
   let runs = ref 0 in
   (* GC counters around the sampling loop attribute allocation (minor
@@ -106,16 +103,7 @@ let time_ns name f =
   if Float.is_nan est then
     Format.eprintf
       "bench: %s produced no estimate (quota %.0f ms too small?)@." name
-      (quota *. 1000.0)
-  else
-    Mad_obs.Obs.event obs "bench"
-      [
-        ("name", Mad_obs.Span.Str name);
-        ("ns_per_run", Mad_obs.Span.Float est);
-        ("quota_ms", Mad_obs.Span.Float (quota *. 1000.0));
-        ("minor_words_per_run", Mad_obs.Span.Float minor_w);
-        ("promoted_words_per_run", Mad_obs.Span.Float promoted_w);
-      ];
+      (quota *. 1000.0);
   recorded :=
     {
       r_name = name;
@@ -139,19 +127,6 @@ let time_ns name f =
     row says [null] rather than a misleading zero. *)
 let record_external ~name ~iterations ~ns_per_run ~mean_us ~p50_us ~p95_us
     ?minor_words_per_run ?promoted_words_per_run () =
-  Mad_obs.Obs.event obs "bench"
-    ([
-       ("name", Mad_obs.Span.Str name);
-       ("ns_per_run", Mad_obs.Span.Float ns_per_run);
-       ("external", Mad_obs.Span.Bool true);
-     ]
-    @ (match minor_words_per_run with
-      | Some w -> [ ("minor_words_per_run", Mad_obs.Span.Float w) ]
-      | None -> [])
-    @
-    match promoted_words_per_run with
-    | Some w -> [ ("promoted_words_per_run", Mad_obs.Span.Float w) ]
-    | None -> []);
   recorded :=
     {
       r_name = name;

@@ -471,9 +471,9 @@ let clear_screen () = print_string "\027[2J\027[H"
 let stats db_name watch count stmts =
   handle @@ fun () ->
   let db = load_db db_name in
-  (* a private tracing context: spans drive the op.latency_us
-     histograms; nothing is emitted, the registry is the product *)
-  let obs = Mad_obs.Obs.create ~tracing:true () in
+  (* a private context: timed spans drive the op.latency_us
+     histograms; the registry is the product *)
+  let obs = Mad_obs.Obs.create () in
   let session = Mad_mql.Session.create ~obs db in
   ignore (Mad_mql.Session.enable_digest session);
   (* refresh the runtime.* gauges right before rendering, so the
@@ -1034,7 +1034,7 @@ let serve db_name data port host workers max_pending idle slow trace =
   in
   (* the serve.* metrics and the coordinator's serve.group.* land here;
      this registry is what the Stats request exposes *)
-  let obs = Mad_obs.Obs.create ~tracing:true () in
+  let obs = Mad_obs.Obs.create () in
   let run_server srv =
     let stop_signal _ = Mad_serve.Serve.request_stop srv in
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal);

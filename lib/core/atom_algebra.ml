@@ -113,28 +113,21 @@ let inherit_links db ~res_name ~operands ~provenance =
 (* ------------------------------------------------------------------ *)
 (* The five operations                                                  *)
 
-(* One span per operator application, with input/output cardinalities
-   as attributes, plus an op.latency_us histogram record — the
-   operator-level accounting the observability layer is built around. *)
-(* every operator materializes its result type in the enlarged
-   database — scratch state rebuilt on demand, kept out of any journal
-   (write-ahead log) the database carries *)
-let op_span obs db op ~name ~in_count f =
-  Mad_obs.Obs.timed obs ("atom_algebra." ^ op)
-    ~attrs:
-      [ ("result", Mad_obs.Span.Str name); ("in", Mad_obs.Span.Int in_count) ]
-  @@ fun sp ->
-  let r = Database.unjournaled db f in
-  Mad_obs.Span.set sp "out" (Mad_obs.Span.Int (Aid.Map.cardinal r.provenance));
-  r
+(* One span per operator application plus an op.latency_us histogram
+   record — the operator-level accounting the observability layer is
+   built around.  Every operator materializes its result type in the
+   enlarged database — scratch state rebuilt on demand, kept out of
+   any journal (write-ahead log) the database carries. *)
+let op_span obs db op f =
+  Mad_obs.Obs.timed obs ("atom_algebra." ^ op) @@ fun () ->
+  Database.unjournaled db f
 
 (** π — atom-type projection. [attrs] selects (and orders) the kept
     attribute descriptions; result atoms are de-duplicated by their
     projected values, provenance collects every source atom that
     projected onto them. *)
 let project ?(obs = Mad_obs.Obs.noop) db ~name ~attrs src =
-  op_span obs db "project" ~name ~in_count:(List.length (Database.atoms db src))
-  @@ fun () ->
+  op_span obs db "project" @@ fun () ->
   let at = Database.atom_type db src in
   let kept =
     List.map
@@ -167,8 +160,7 @@ let project ?(obs = Mad_obs.Obs.noop) db ~name ~attrs src =
 
 (** σ — atom-type restriction by a qualification formula. *)
 let restrict ?(obs = Mad_obs.Obs.noop) db ~name ~pred src =
-  op_span obs db "restrict" ~name ~in_count:(List.length (Database.atoms db src))
-  @@ fun () ->
+  op_span obs db "restrict" @@ fun () ->
   let at = Database.atom_type db src in
   Qual.typecheck ~allowed:[ src ] db pred;
   let res_at = Database.declare_atom_type db name at.attrs in
@@ -194,11 +186,7 @@ let restrict ?(obs = Mad_obs.Obs.noop) db ~name ~pred src =
     qualified as [<operand>_<attr>] to restore disjointness (the
     relational rename ρ folded into ×). *)
 let product ?(obs = Mad_obs.Obs.noop) db ~name src1 src2 =
-  op_span obs db "product" ~name
-    ~in_count:
-      (List.length (Database.atoms db src1)
-      + List.length (Database.atoms db src2))
-  @@ fun () ->
+  op_span obs db "product" @@ fun () ->
   let at1 = Database.atom_type db src1 and at2 = Database.atom_type db src2 in
   let taken =
     ref (List.map (fun (a : Schema.Attr.t) -> a.name) at1.attrs)
@@ -240,11 +228,7 @@ let check_same_description op at1 at2 =
 (** ω — atom-type union (identical descriptions required); result
     de-duplicated by values. *)
 let union ?(obs = Mad_obs.Obs.noop) db ~name src1 src2 =
-  op_span obs db "union" ~name
-    ~in_count:
-      (List.length (Database.atoms db src1)
-      + List.length (Database.atoms db src2))
-  @@ fun () ->
+  op_span obs db "union" @@ fun () ->
   let at1 = Database.atom_type db src1 and at2 = Database.atom_type db src2 in
   check_same_description "union" at1 at2;
   let res_at = Database.declare_atom_type db name at1.attrs in
@@ -272,11 +256,7 @@ let union ?(obs = Mad_obs.Obs.noop) db ~name src1 src2 =
 (** δ — atom-type difference (identical descriptions required):
     atoms of the first operand whose values do not occur in the second. *)
 let diff ?(obs = Mad_obs.Obs.noop) db ~name src1 src2 =
-  op_span obs db "diff" ~name
-    ~in_count:
-      (List.length (Database.atoms db src1)
-      + List.length (Database.atoms db src2))
-  @@ fun () ->
+  op_span obs db "diff" @@ fun () ->
   let at1 = Database.atom_type db src1 and at2 = Database.atom_type db src2 in
   check_same_description "difference" at1 at2;
   let res_at = Database.declare_atom_type db name at1.attrs in

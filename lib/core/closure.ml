@@ -38,9 +38,7 @@ let add r name cond =
     is still a member of the database domain, and the result type is a
     registered, integrity-clean atom type. *)
 let check_atom_result ?(obs = Mad_obs.Obs.noop) db (r : Atom_algebra.t) =
-  Mad_obs.Obs.timed obs "closure.check_atom_result"
-    ~attrs:[ ("type", Mad_obs.Span.Str r.at.name) ]
-  @@ fun sp ->
+  Mad_obs.Obs.timed obs "closure.check_atom_result" @@ fun () ->
   let rep = empty in
   let rep =
     add rep
@@ -55,67 +53,54 @@ let check_atom_result ?(obs = Mad_obs.Obs.noop) db (r : Atom_algebra.t) =
           (Database.has_link_type db lt.name))
       rep r.inherited
   in
-  let rep = add rep "database integrity" (Integrity.is_valid db) in
-  Mad_obs.Span.set sp "checks" (Mad_obs.Span.Int rep.checks);
-  rep
+  add rep "database integrity" (Integrity.is_valid db)
 
 (** Theorem 2/3 instance for a molecule type carrying a
     materialization.
 
     The Def. 9 bijection check *re-derives the whole occurrence* — by
     far the most expensive step of the closure machinery — so the
-    [stats] handle (and the span emitted under [obs]) make that work
+    [stats] handle (and the span timed under [obs]) make that work
     visible instead of letting profiles under-report it. *)
 let check_molecule_type ?(obs = Mad_obs.Obs.noop) ?stats db
     (mt : Molecule_type.t) =
-  Mad_obs.Obs.timed obs "closure.check_molecule_type"
-    ~attrs:[ ("type", Mad_obs.Span.Str mt.name) ]
-  @@ fun sp ->
+  Mad_obs.Obs.timed obs "closure.check_molecule_type" @@ fun () ->
   let stats = match stats with Some s -> s | None -> Derive.stats_in (Mad_obs.Obs.registry obs) in
-  let a0 = Derive.atoms_visited stats and l0 = Derive.links_traversed stats in
-  let rep =
-    match mt.materialized with
-    | None ->
-      (* α results are directly derivable; check mv_graph of each molecule *)
+  match mt.materialized with
+  | None ->
+    (* α results are directly derivable; check mv_graph of each molecule *)
+    List.fold_left
+      (fun rep (m : Molecule.t) ->
+        add rep
+          (Printf.sprintf "%s: molecule rooted %s satisfies mv_graph" mt.name
+             (Aid.to_string m.root))
+          (Molecule.mv_graph db mt.desc m))
+      empty mt.occ
+  | Some mat ->
+    let rep =
+      add empty
+        (Printf.sprintf "%s: propagated description satisfies md_graph" mt.name)
+        (match
+           Mdesc.md_graph ~nodes:(Mdesc.nodes mat.mdesc)
+             ~edges:(Mdesc.edges mat.mdesc)
+         with
+         | Ok root -> String.equal root (Mdesc.root mat.mdesc)
+         | Error _ -> false)
+    in
+    let rep =
+      add rep
+        (Printf.sprintf "%s: Def. 9 bijection (re-derivation)" mt.name)
+        (Propagate.exact ~stats db mat.mdesc mat.mocc)
+    in
+    let rep =
       List.fold_left
         (fun rep (m : Molecule.t) ->
           add rep
-            (Printf.sprintf "%s: molecule rooted %s satisfies mv_graph" mt.name
-               (Aid.to_string m.root))
-            (Molecule.mv_graph db mt.desc m))
-        empty mt.occ
-    | Some mat ->
-      let rep =
-        add empty
-          (Printf.sprintf "%s: propagated description satisfies md_graph" mt.name)
-          (match
-             Mdesc.md_graph ~nodes:(Mdesc.nodes mat.mdesc)
-               ~edges:(Mdesc.edges mat.mdesc)
-           with
-           | Ok root -> String.equal root (Mdesc.root mat.mdesc)
-           | Error _ -> false)
-      in
-      let rep =
-        add rep
-          (Printf.sprintf "%s: Def. 9 bijection (re-derivation)" mt.name)
-          (Propagate.exact ~stats db mat.mdesc mat.mocc)
-      in
-      let rep =
-        List.fold_left
-          (fun rep (m : Molecule.t) ->
-            add rep
-              (Printf.sprintf "%s: propagated molecule %s satisfies mv_graph"
-                 mt.name (Aid.to_string m.root))
-              (Molecule.mv_graph db mat.mdesc m))
-          rep mat.mocc
-      in
-      add rep
-        (Printf.sprintf "%s: database integrity" mt.name)
-        (Integrity.is_valid db)
-  in
-  Mad_obs.Span.set sp "checks" (Mad_obs.Span.Int rep.checks);
-  Mad_obs.Span.set sp "atoms_visited"
-    (Mad_obs.Span.Int (Derive.atoms_visited stats - a0));
-  Mad_obs.Span.set sp "links_traversed"
-    (Mad_obs.Span.Int (Derive.links_traversed stats - l0));
-  rep
+            (Printf.sprintf "%s: propagated molecule %s satisfies mv_graph"
+               mt.name (Aid.to_string m.root))
+            (Molecule.mv_graph db mat.mdesc m))
+        rep mat.mocc
+    in
+    add rep
+      (Printf.sprintf "%s: database integrity" mt.name)
+      (Integrity.is_valid db)

@@ -18,36 +18,16 @@ let gen_name prefix =
   incr counter;
   Printf.sprintf "%s_%d" prefix !counter
 
-(* One span per operator application; input/output are molecule
-   cardinalities, and the derivation [stats] deltas (atoms visited,
-   links traversed) are attached so the cost of propagation exactness
-   checks is attributed to the operator that triggered them. *)
-let op_span obs stats op ~name ~in_count f =
-  Mad_obs.Obs.timed obs ("molecule_algebra." ^ op)
-    ~attrs:
-      [ ("result", Mad_obs.Span.Str name); ("in", Mad_obs.Span.Int in_count) ]
-  @@ fun sp ->
-  let a0, l0 =
-    match stats with
-    | None -> (0, 0)
-    | Some s -> (Derive.atoms_visited s, Derive.links_traversed s)
-  in
-  let (mt : Molecule_type.t) = f () in
-  Mad_obs.Span.set sp "out" (Mad_obs.Span.Int (List.length mt.occ));
-  (match stats with
-  | None -> ()
-  | Some s ->
-    Mad_obs.Span.set sp "atoms_visited"
-      (Mad_obs.Span.Int (Derive.atoms_visited s - a0));
-    Mad_obs.Span.set sp "links_traversed"
-      (Mad_obs.Span.Int (Derive.links_traversed s - l0)));
-  mt
+(* One span per operator application plus an op.latency_us histogram
+   record; the derivation work it triggers lands in the [derive.*]
+   counters of the [stats] handle. *)
+let op_span obs op f = Mad_obs.Obs.timed obs ("molecule_algebra." ^ op) f
 
 (* ------------------------------------------------------------------ *)
 (* α — molecule-type definition (Def. 8)                                *)
 
 let define ?(obs = Mad_obs.Obs.noop) ?stats db ~name desc =
-  op_span obs stats "define" ~name ~in_count:0 @@ fun () ->
+  op_span obs "define" @@ fun () ->
   Molecule_type.v ~name ~desc (Derive.m_dom ?stats db desc)
 
 (** Convenience: build and validate the description, then define.
@@ -119,8 +99,7 @@ let par_filter ?par pred_of occ =
 let restrict ?(obs = Mad_obs.Obs.noop) ?stats ?par ?name db pred
     (mt : Molecule_type.t) =
   let name = Option.value name ~default:(gen_name (mt.name ^ "_sigma")) in
-  op_span obs stats "restrict" ~name ~in_count:(List.length mt.occ)
-  @@ fun () ->
+  op_span obs "restrict" @@ fun () ->
   typecheck_qual db mt pred;
   let rsv = par_filter ?par (fun m -> molecule_satisfies db mt m pred) mt.occ in
   let materialized =
@@ -137,8 +116,7 @@ let restrict ?(obs = Mad_obs.Obs.noop) ?stats ?par ?name db pred
 let project ?(obs = Mad_obs.Obs.noop) ?stats ?name db keep
     (mt : Molecule_type.t) =
   let name = Option.value name ~default:(gen_name (mt.name ^ "_pi")) in
-  op_span obs stats "project" ~name ~in_count:(List.length mt.occ)
-  @@ fun () ->
+  op_span obs "project" @@ fun () ->
   let kept_nodes = List.map fst keep in
   let desc' = Mdesc.induced mt.desc kept_nodes in
   let attr_proj =
@@ -197,9 +175,7 @@ let union ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
   let name =
     Option.value name ~default:(gen_name (mt1.name ^ "_omega"))
   in
-  op_span obs stats "union" ~name
-    ~in_count:(List.length mt1.occ + List.length mt2.occ)
-  @@ fun () ->
+  op_span obs "union" @@ fun () ->
   check_compatible "molecule-type union" mt1 mt2;
   let rsv =
     Molecule.Set.elements
@@ -217,9 +193,7 @@ let diff ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
   let name =
     Option.value name ~default:(gen_name (mt1.name ^ "_delta"))
   in
-  op_span obs stats "diff" ~name
-    ~in_count:(List.length mt1.occ + List.length mt2.occ)
-  @@ fun () ->
+  op_span obs "diff" @@ fun () ->
   check_compatible "molecule-type difference" mt1 mt2;
   let rsv =
     Molecule.Set.elements
@@ -238,10 +212,8 @@ let intersect ?(obs = Mad_obs.Obs.noop) ?stats ?name db mt1 mt2 =
   let name =
     Option.value name ~default:(gen_name (mt1.Molecule_type.name ^ "_psi"))
   in
-  op_span obs stats "intersect" ~name
-    ~in_count:
-      (List.length mt1.Molecule_type.occ + List.length mt2.Molecule_type.occ)
-  @@ fun () -> diff ~obs ?stats ~name db mt1 (diff ~obs ?stats db mt1 mt2)
+  op_span obs "intersect" @@ fun () ->
+  diff ~obs ?stats ~name db mt1 (diff ~obs ?stats db mt1 mt2)
 
 (* ------------------------------------------------------------------ *)
 (* X — molecule-type cartesian product                                  *)
@@ -255,9 +227,7 @@ let intersect ?(obs = Mad_obs.Obs.noop) ?stats ?name db mt1 mt2 =
 let product ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
     (mt2 : Molecule_type.t) =
   let name = Option.value name ~default:(gen_name (mt1.name ^ "_x")) in
-  op_span obs stats "product" ~name
-    ~in_count:(List.length mt1.occ + List.length mt2.occ)
-  @@ fun () ->
+  op_span obs "product" @@ fun () ->
   (* the synthetic pair root and its link types are enlarged-database
      scratch, like everything [Propagate.prop] builds: keep them out of
      any journal the database carries *)

@@ -54,7 +54,7 @@ let commits t = Mad_obs.Metric.value t.commits
 let fsyncs t = Mad_obs.Metric.value t.fsyncs
 
 let wait_durable t pos =
-  let t0 = !Mad_obs.Span.clock () in
+  let t0 = !Mad_obs.Monotonic.clock () in
   Mad_obs.Metric.add_gauge t.waiters 1.0;
   Mutex.lock t.m;
   t.entered <- t.entered + 1;
@@ -100,4 +100,4 @@ let wait_durable t pos =
   Mutex.unlock t.m;
   Mad_obs.Metric.add_gauge t.waiters (-1.0);
   (* histograms are atomic now: observing outside the lock is safe *)
-  Mad_obs.Metric.observe t.wait_us ((!Mad_obs.Span.clock () -. t0) *. 1e6)
+  Mad_obs.Metric.observe t.wait_us ((!Mad_obs.Monotonic.clock () -. t0) *. 1e6)

@@ -87,9 +87,9 @@ let create ?faults ?(obs = Mad_obs.Obs.noop) ?(sync = false) ~truncate path =
 
 let fsync w =
   flush w.oc;
-  let t0 = !Mad_obs.Span.clock () in
+  let t0 = !Mad_obs.Monotonic.clock () in
   Unix.fsync (Unix.descr_of_out_channel w.oc);
-  let dt = !Mad_obs.Span.clock () -. t0 in
+  let dt = !Mad_obs.Monotonic.clock () -. t0 in
   Mad_obs.Metric.observe w.fsync_us (dt *. 1e6);
   Mad_obs.Recorder.note Wal_fsync
     ~dur_ns:(int_of_float (dt *. 1e9))

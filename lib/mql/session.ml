@@ -36,8 +36,6 @@ type t = {
           through the cross-session commit coordinator.  Hooks are a
           list precisely so those two do not clobber each other. *)
   mutable hook_seq : int;  (** next {!commit_handle} *)
-  mutable legacy_hook : commit_handle option;
-      (** the hook owned by the deprecated {!set_on_commit} shim *)
   mutable digest : Mad_obs.Digest.t option;
       (** Workload digest; [None] (the default) records nothing.
           {!enable_digest} creates one against the session registry. *)
@@ -65,7 +63,7 @@ type t = {
 }
 
 (** [EXPLAIN ANALYZE] needs the physical engine, which lives above this
-    library; installing a profiler (see [Prima.Profile.install]) routes
+    library; installing a profiler (see [Prima.Adaptive.install]) routes
     the statement there.  Without one, ANALYZE falls back to executing
     the statement and reporting the session-level actuals. *)
 let analyze_hook : (t -> Ast.stmt -> string) option ref = ref None
@@ -89,7 +87,6 @@ let create ?obs db =
     ext = None;
     commit_hooks = [];
     hook_seq = 0;
-    legacy_hook = None;
     digest = None;
     slow_guard = false;
     fp_cache = Hashtbl.create 64;
@@ -119,19 +116,6 @@ let add_on_commit t f =
 let remove_on_commit t h =
   t.commit_hooks <- List.filter (fun (h', _) -> h' <> h) t.commit_hooks
 
-(* deprecated shim over the registration list: owns at most one hook,
-   replaced (or removed) on every call, as the old single mutable
-   [on_commit] field behaved *)
-let set_on_commit t f =
-  (match t.legacy_hook with
-   | Some h ->
-     remove_on_commit t h;
-     t.legacy_hook <- None
-   | None -> ());
-  match f with
-  | None -> ()
-  | Some f -> t.legacy_hook <- Some (add_on_commit t f)
-
 (* the commit is timed as its own operator so fsync stalls show up in
    [op.latency_us{op=mql.commit}] (with a flight-recorder exemplar)
    instead of hiding inside the statement's latency *)
@@ -139,7 +123,7 @@ let commit t =
   match t.commit_hooks with
   | [] -> ()
   | hooks ->
-    Mad_obs.Obs.timed t.obs "mql.commit" (fun _ ->
+    Mad_obs.Obs.timed t.obs "mql.commit" (fun () ->
         List.iter (fun (_, f) -> f ()) hooks);
     let d = Mad_obs.Obs.last_dur_us t.obs in
     if d > 0.0 then t.last_commit_us <- t.last_commit_us +. d
@@ -282,7 +266,7 @@ let stmt_kind = function
   | Ast.Explain _ -> "explain"
 
 (* Fault injection for health-probe smoke tests ([madql health
-   --inject-slow]): busy-wait on {!Mad_obs.Span.clock} inside the
+   --inject-slow]): busy-wait on {!Mad_obs.Monotonic.clock} inside the
    statement's timed block, so the injected latency lands in the
    digest histograms the latency probe watches.  A spin (not a sleep)
    keeps this library free of a unix dependency and respects
@@ -292,8 +276,8 @@ let fault_spin_ms : float option ref = ref None
 let fault_spin () =
   match !fault_spin_ms with
   | Some ms when ms > 0.0 ->
-    let until = !Mad_obs.Span.clock () +. (ms /. 1000.0) in
-    while !Mad_obs.Span.clock () < until do
+    let until = !Mad_obs.Monotonic.clock () +. (ms /. 1000.0) in
+    while !Mad_obs.Monotonic.clock () < until do
       ignore (Sys.opaque_identity ())
     done
   | Some _ | None -> ()
@@ -301,9 +285,7 @@ let fault_spin () =
 let rec eval_stmt_inner t (stmt : Ast.stmt) : outcome =
   (* one root span per statement; everything the engine does beneath —
      algebra operators, derivations, closure checks — nests under it *)
-  Mad_obs.Obs.timed t.obs "mql.statement"
-    ~attrs:[ ("kind", Mad_obs.Span.Str (stmt_kind stmt)) ]
-  @@ fun _ ->
+  Mad_obs.Obs.timed t.obs "mql.statement" @@ fun () ->
   fault_spin ();
   match stmt with
   | Ast.Define (name, s) ->
@@ -327,9 +309,9 @@ let rec eval_stmt_inner t (stmt : Ast.stmt) : outcome =
       let a0 = Mad.Derive.atoms_visited t.stats
       and l0 = Mad.Derive.links_traversed t.stats in
       let path = Mad.Derive.describe_path t.db in
-      let t0 = !Mad_obs.Span.clock () in
+      let t0 = !Mad_obs.Monotonic.clock () in
       let outcome = eval_stmt_inner t stmt in
-      let ms = (!Mad_obs.Span.clock () -. t0) *. 1000. in
+      let ms = (!Mad_obs.Monotonic.clock () -. t0) *. 1000. in
       let molecules =
         match outcome with
         | Result (Translate.Molecules mt) ->
@@ -467,11 +449,11 @@ let eval_stmt ?fp_text t (stmt : Ast.stmt) : outcome =
        measurement we reuse; only a noop context (which never times)
        needs a clock pair of our own *)
     let noop_obs = Mad_obs.Obs.is_noop t.obs in
-    let t0 = if noop_obs then !Mad_obs.Span.clock () else 0.0 in
+    let t0 = if noop_obs then !Mad_obs.Monotonic.clock () else 0.0 in
     (match eval_stmt_inner t stmt with
      | outcome ->
        let ms =
-         if noop_obs then (!Mad_obs.Span.clock () -. t0) *. 1e3
+         if noop_obs then (!Mad_obs.Monotonic.clock () -. t0) *. 1e3
          else Mad_obs.Obs.last_dur_us t.obs /. 1e3
        in
        ignore
@@ -483,7 +465,7 @@ let eval_stmt ?fp_text t (stmt : Ast.stmt) : outcome =
        outcome
      | exception e ->
        let ms =
-         if noop_obs then (!Mad_obs.Span.clock () -. t0) *. 1e3
+         if noop_obs then (!Mad_obs.Monotonic.clock () -. t0) *. 1e3
          else Mad_obs.Obs.last_dur_us t.obs /. 1e3
        in
        ignore
@@ -506,7 +488,7 @@ let run t src =
       Mad_obs.Timeline.auto_tick ~epoch:(Database.epoch t.db)
         (Mad_obs.Obs.registry t.obs))
   @@ fun () ->
-  let stmt = Mad_obs.Obs.timed t.obs "mql.parse" (fun _ -> parse t src) in
+  let stmt = Mad_obs.Obs.timed t.obs "mql.parse" (fun () -> parse t src) in
   match t.digest with
   | None -> eval_stmt t stmt
   | Some _ ->

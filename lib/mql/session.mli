@@ -33,8 +33,6 @@ type t = {
           and the network server adds its cross-session commit
           coordinator alongside it. *)
   mutable hook_seq : int;  (** internal: next {!commit_handle} *)
-  mutable legacy_hook : commit_handle option;
-      (** internal: the hook owned by the {!set_on_commit} shim *)
   mutable digest : Mad_obs.Digest.t option;
       (** Workload digest; [None] (the default) records nothing.
           {!enable_digest} creates one against the session registry. *)
@@ -56,7 +54,7 @@ type t = {
 
 val analyze_hook : (t -> Ast.stmt -> string) option ref
 (** [EXPLAIN ANALYZE] needs the physical engine, which lives above
-    this library; a profiler (see [Prima.Profile.install]) registers
+    this library; a profiler (see [Prima.Adaptive.install]) registers
     itself here.  Without one, ANALYZE executes the statement and
     reports session-level actuals only. *)
 
@@ -91,13 +89,6 @@ val take_last_commit_us : t -> float
     publication) since the last take; resets to 0.  The network server
     uses this to break a request's latency into phases — the commit
     share becomes the "wal" phase. *)
-
-val set_on_commit : t -> (unit -> unit) option -> unit
-  [@@ocaml.deprecated "use add_on_commit / remove_on_commit"]
-(** Deprecated shim over {!add_on_commit}: replaces (or, with [None],
-    removes) the single hook this setter owns, as the old
-    [session.on_commit <- ...] field assignment behaved.  Hooks
-    registered by other subsystems are untouched. *)
 
 val commit : t -> unit
 (** Run the registered commit hooks, if any ({!eval_stmt} does this
@@ -147,7 +138,7 @@ val run : t -> string -> outcome
 val fault_spin_ms : float option ref
 (** Fault injection for health smoke tests: when set, every statement
     busy-waits this many milliseconds inside its timed block (on
-    {!Mad_obs.Span.clock}, so deterministic test clocks apply), which
+    {!Mad_obs.Monotonic.clock}, so deterministic test clocks apply), which
     the digest latency histograms — and thus the timeline's latency
     probe — observe as a genuine regression.  [None] (the default)
     costs one ref read per statement. *)

@@ -1,9 +1,10 @@
 (** A minimal JSON value type with printer and parser.
 
-    The observability sinks emit JSON lines and the tests parse them
-    back; keeping both directions in one dependency-free module makes
-    "the sink output is parseable" a checkable property rather than a
-    hope.  Non-finite floats serialize as [null] (JSON has no NaN). *)
+    The Chrome-trace export, the digest and timeline files and the
+    profile reports print JSON, and the tests parse it back; keeping
+    both directions in one dependency-free module makes "the output is
+    parseable" a checkable property rather than a hope.  Non-finite
+    floats serialize as [null] (JSON has no NaN). *)
 
 type t =
   | Null
@@ -120,7 +121,7 @@ let of_string s =
              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
              pos := !pos + 4;
              (* keep it simple: code points below 0x80 verbatim, the
-                rest as '?' — the sinks only escape control chars *)
+                rest as '?' — the printer only escapes control chars *)
              Buffer.add_char buf (if code < 0x80 then Char.chr code else '?')
            | c -> fail (Printf.sprintf "bad escape \\%c" c));
           incr pos;

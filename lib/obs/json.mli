@@ -1,6 +1,6 @@
-(** Minimal JSON values: printer (used by the sinks) and parser (used
-    by the tests to assert the sink output is well-formed).  Non-finite
-    floats print as [null]. *)
+(** Minimal JSON values: printer (used by the exporters) and parser
+    (used by the tests to assert the output is well-formed).
+    Non-finite floats print as [null]. *)
 
 type t =
   | Null

@@ -3,7 +3,7 @@
     An instrument is a mutable cell; recording is a field update, so
     instruments can sit on hot paths (molecule derivation visits one
     counter per atom).  Aggregation, naming and export live in
-    {!Registry} and {!Sink}; an unregistered instrument is just a
+    {!Registry}; an unregistered instrument is just a
     cheap local accumulator (the [Derive.stats] shim uses that). *)
 
 type labels = (string * string) list

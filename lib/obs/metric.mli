@@ -1,6 +1,6 @@
 (** Metric instruments: counters, gauges, histograms.  An instrument
     is a mutable cell; recording is a field update.  Naming and export
-    live in {!Registry} and {!Sink}. *)
+    live in {!Registry}. *)
 
 type labels = (string * string) list
 

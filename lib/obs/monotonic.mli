@@ -1,6 +1,10 @@
-(** Monotonic ticks (engine-clock nanoseconds) for event stamping. *)
+(** The engine clock and its monotonic ticks (engine-clock
+    nanoseconds) for event stamping. *)
+
+val clock : (unit -> float) ref
+(** The engine clock in seconds; defaults to [Unix.gettimeofday].
+    Tests install a deterministic clock; platforms with a true
+    monotonic clock can install it here. *)
 
 val ticks : unit -> int
-(** Nanoseconds on the engine clock, as a native [int].  Reads
-    {!Span.clock}, so deterministic test clocks and installed
-    monotonic clocks apply here as well. *)
+(** Nanoseconds on {!clock}, as a native [int]. *)

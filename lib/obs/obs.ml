@@ -1,74 +1,41 @@
-(** The observability context: one metrics registry, one span stack,
-    one sink.
+(** The observability context: one metrics registry plus the depth of
+    the spans open on it.
 
     The engine threads a context through its layers (session ->
     executor -> derivation); code that was not handed one records
-    against {!noop}, whose counters nobody reads and whose sink drops
-    everything — the instrumentation points stay unconditional while
-    the disabled cost stays at a few field updates.
+    against {!noop}, whose counters nobody reads — the instrumentation
+    points stay unconditional while the disabled cost stays at a few
+    field updates.
 
-    Configuration comes from the [MAD_OBS] environment variable (see
-    {!of_env}):
+    Spans are stored in one place only: the global flight-recorder
+    ring ({!Recorder}), exported as a Chrome trace by [MAD_OBS_TRACE],
+    [--trace] and [madql trace].  Metrics are configured by the
+    [MAD_OBS] environment variable (see {!of_env}):
     {v
-    MAD_OBS=           (unset, "", "off", "none")  silent no-op
-    MAD_OBS=pretty     human-readable rendering on stderr
-    MAD_OBS=json       JSON lines on stderr
-    MAD_OBS=json:FILE  JSON lines appended to FILE
+    MAD_OBS=           (unset, "", "off", "none")  metrics stay in-process
     MAD_OBS=prom:FILE  Prometheus text written to FILE on exit
-    v}
-    plus the sampling knobs [MAD_OBS_SAMPLE] (root-span keep
-    probability), [MAD_OBS_SLOW_MS] (always keep roots at least this
-    slow) and [MAD_OBS_SEED] (the sampler's RNG seed). *)
-
-(** Head-based probabilistic span sampling.  The keep/drop decision is
-    drawn from a seeded RNG when a root span opens (so a run is
-    reproducible), and overridden at emission time for root spans that
-    carry an [error] attribute or exceed the slow threshold — errors
-    and outliers always trace.  Metrics are recorded independently of
-    the decision, so aggregates stay exact while trace volume scales
-    down. *)
-type sampler = {
-  rate : float;  (** keep probability in [0,1] *)
-  slow_ms : float option;  (** always keep roots at least this slow *)
-  rng : Random.State.t;
-}
-
-let default_seed = 0x6d6164 (* "mad" *)
+    v} *)
 
 type t = {
   registry : Registry.t;
-  sink : Sink.t;
-  tracing : bool;  (** are spans recorded? *)
-  mutable stack : Span.t list;  (** open spans, innermost first *)
-  sampler : sampler option;
-  mutable keep_root : bool;  (** head decision for the open root span *)
-  mutable last_closed : int;
-      (** flight-recorder seq of the most recently closed span, [-1]
-          before any; {!timed} reads it as the histogram exemplar.
+  mutable depth : int;
+      (** spans open on this context; an errored span closing at depth
+          0 is a root and triggers the flight-recorder dump.
           Deliberately non-atomic: a context belongs to one session on
           one domain (the kernel records to the ring directly). *)
+  mutable last_closed : int;
+      (** flight-recorder seq of the most recently closed span, [-1]
+          before any *)
   mutable last_dur_us : float;
       (** duration of the most recently completed {!timed} operation,
           [-1] before any.  The workload digest reads it instead of
           taking its own clock pair around a statement. *)
 }
 
-let create ?(tracing = true) ?(sink = Sink.noop) ?sample ?slow_ms
-    ?(seed = default_seed) () =
-  let sampler =
-    match (sample, slow_ms) with
-    | None, None -> None
-    | rate, slow_ms ->
-      Some
-        {
-          rate = Float.max 0.0 (Float.min 1.0 (Option.value ~default:1.0 rate));
-          slow_ms;
-          rng = Random.State.make [| seed |];
-        }
-  in
+let create () =
   let t =
-    { registry = Registry.create (); sink; tracing; stack = []; sampler;
-      keep_root = true; last_closed = -1; last_dur_us = -1.0 }
+    { registry = Registry.create (); depth = 0; last_closed = -1;
+      last_dur_us = -1.0 }
   in
   (* register the runtime.* GC/heap gauges up front so they ride
      [Registry.expose] and [madql stats] even without a timeline *)
@@ -76,12 +43,9 @@ let create ?(tracing = true) ?(sink = Sink.noop) ?sample ?slow_ms
   t
 
 (** The shared disabled context. *)
-let noop = create ~tracing:false ~sink:Sink.noop ()
+let noop = create ()
 
 let registry t = t.registry
-let sink t = t.sink
-let enabled t = t.tracing
-
 let last_seq t = if Recorder.enabled () then t.last_closed else -1
 let last_dur_us t = t.last_dur_us
 let is_noop t = t == noop
@@ -89,191 +53,68 @@ let is_noop t = t == noop
 (* ------------------------------------------------------------------ *)
 (* Spans                                                                *)
 
-let current_span t = match t.stack with sp :: _ -> Some sp | [] -> None
+(* The one span body: a single [Monotonic.ticks] pair stamps the
+   recorder's begin/end events and, for {!timed}, the [h] observation
+   (with the span's seq as its exemplar — [-1] while the ring is off,
+   so no stale seq is attached). *)
+let span t name h f =
+  let t0 = Monotonic.ticks () in
+  let seq = Recorder.span_begin ~ticks:t0 name in
+  t.depth <- t.depth + 1;
+  let finish ~error =
+    let t1 = Monotonic.ticks () in
+    Recorder.span_end ~ticks:t1 ~seq ~dur_ns:(t1 - t0) ~error name;
+    t.last_closed <- seq;
+    t.depth <- t.depth - 1;
+    (match h with
+     | Some h ->
+       let dur = float_of_int (t1 - t0) /. 1e3 in
+       t.last_dur_us <- dur;
+       Metric.observe ~exemplar:seq h dur
+     | None -> ());
+    (* an errored root is exactly when a post-mortem wants the flight
+       recorder: dump to MAD_OBS_TRACE if configured *)
+    if error && t.depth = 0 then Recorder.dump_on_error ()
+  in
+  match f () with
+  | v ->
+    finish ~error:false;
+    v
+  | exception e ->
+    finish ~error:true;
+    raise e
 
-let errored sp = List.mem_assoc "error" (Span.attrs sp)
+let with_span t name f = if t == noop then f () else span t name None f
 
-(* the always-keep rule: errored or slow-over-threshold root spans
-   trace regardless of the head decision *)
-let keep_span t sp =
-  match t.sampler with
-  | None -> true
-  | Some s ->
-    t.keep_root || errored sp
-    || (match s.slow_ms with
-        | Some th -> Span.duration_ms sp >= th
-        | None -> false)
-
-let with_span t name ?(attrs = []) f =
-  if t == noop then f Span.none
-  else if not t.tracing then begin
-    (* tracing off (the default context, prom-mode, …): no Span is
-       built, but the span still journals to the flight recorder — the
-       always-on record the trace dump and exemplars draw from *)
-    if not (Recorder.enabled ()) then f Span.none
-    else begin
-      let t0 = Monotonic.ticks () in
-      let seq = Recorder.span_begin ~ticks:t0 name in
-      match f Span.none with
-      | v ->
-        let t1 = Monotonic.ticks () in
-        Recorder.span_end ~ticks:t1 ~seq ~dur_ns:(t1 - t0) ~error:false name;
-        t.last_closed <- seq;
-        v
-      | exception e ->
-        let t1 = Monotonic.ticks () in
-        Recorder.span_end ~ticks:t1 ~seq ~dur_ns:(t1 - t0) ~error:true name;
-        t.last_closed <- seq;
-        raise e
-    end
-  end
-  else begin
-    (match (t.stack, t.sampler) with
-     | [], Some s ->
-       (* head decision: drawn exactly once per root span, so a seeded
-          run keeps a reproducible subset *)
-       t.keep_root <- Random.State.float s.rng 1.0 < s.rate
-     | _, _ -> ());
-    let sp = Span.start name in
-    let seq = Recorder.span_begin ~ticks:(Monotonic.ticks ()) name in
-    List.iter (fun (k, v) -> Span.set sp k v) attrs;
-    (match t.stack with
-     | parent :: _ -> Span.add_child parent sp
-     | [] -> ());
-    t.stack <- sp :: t.stack;
-    let finish () =
-      Span.finish sp;
-      let err = errored sp in
-      Recorder.span_end
-        ~ticks:(Monotonic.ticks ())
-        ~seq
-        ~dur_ns:(int_of_float (Span.duration_ms sp *. 1e6))
-        ~error:err name;
-      t.last_closed <- seq;
-      (match t.stack with
-       | top :: rest when top == sp -> t.stack <- rest
-       | _ -> t.stack <- List.filter (fun s -> not (s == sp)) t.stack);
-      if t.stack = [] then begin
-        if keep_span t sp then t.sink.Sink.emit_span sp;
-        (* an errored root is exactly when a post-mortem wants the
-           flight recorder: dump to MAD_OBS_TRACE if configured *)
-        if err then Recorder.dump_on_error ()
-      end
-    in
-    match f sp with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      Span.set sp "error" (Span.Str (Printexc.to_string e));
-      finish ();
-      raise e
-  end
+let timed t name f =
+  if t == noop then f ()
+  else
+    span t name
+      (Some
+         (Registry.histogram
+            ~labels:[ ("op", name) ]
+            ~bounds:Metric.latency_bounds_us t.registry "op.latency_us"))
+      f
 
 (* ------------------------------------------------------------------ *)
-(* Metrics and events                                                   *)
+(* Metrics                                                              *)
 
 let counter ?labels t name = Registry.counter ?labels t.registry name
 let gauge ?labels t name = Registry.gauge ?labels t.registry name
 let histogram ?labels ?bounds t name = Registry.histogram ?labels ?bounds t.registry name
 
-(** Like {!with_span}, but also record the wall-clock duration into
-    the [op.latency_us] histogram labeled [op=name].  The histogram is
-    updated even when tracing is off or the sampler drops the span —
-    latency aggregates stay exact while trace volume scales down.
-    Only the shared {!noop} context skips the clock reads entirely. *)
-let timed t name ?attrs f =
-  if t == noop then f Span.none
-  else begin
-    let h =
-      Registry.histogram
-        ~labels:[ ("op", name) ]
-        ~bounds:Metric.latency_bounds_us t.registry "op.latency_us"
-    in
-    let t0 = !Span.clock () in
-    (* [with_span] sets [t.last_closed] to our span's recorder seq in
-       its finish (children close earlier), so the observation links
-       back to the right flight-recorder event as its exemplar.  With
-       the ring off [last_closed] goes stale (no new seqs are issued),
-       so it must not be attached. *)
-    let record () =
-      let exemplar = if Recorder.enabled () then t.last_closed else -1 in
-      let dur = (!Span.clock () -. t0) *. 1e6 in
-      t.last_dur_us <- dur;
-      Metric.observe ~exemplar h dur
-    in
-    match with_span t name ?attrs f with
-    | v ->
-      record ();
-      v
-    | exception e ->
-      record ();
-      raise e
-  end
-
-let event t kind fields = t.sink.Sink.emit_event kind fields
-
-(** Push every registered metric to the sink. *)
-let flush t =
-  let samples = Registry.to_list t.registry in
-  if t != noop then Recorder.note Metric_flush ~a:(List.length samples) ();
-  t.sink.Sink.emit_metrics samples
-
-let pp_metrics ppf t = Registry.pp ppf t.registry
-
 (* ------------------------------------------------------------------ *)
 (* Environment configuration                                            *)
 
-let env_float var =
-  match Option.map String.trim (Sys.getenv_opt var) with
-  | None | Some "" -> None
-  | Some s -> begin
-    match float_of_string_opt s with
-    | Some f when Float.is_finite f -> Some f
-    | Some _ | None ->
-      Printf.eprintf "mad_obs: ignoring invalid %s=%S (expected a number)\n%!"
-        var s;
-      None
-  end
-
-let env_int var =
-  match Option.map String.trim (Sys.getenv_opt var) with
-  | None | Some "" -> None
-  | Some s -> begin
-    match int_of_string_opt s with
-    | Some i -> Some i
-    | None ->
-      Printf.eprintf
-        "mad_obs: ignoring invalid %s=%S (expected an integer)\n%!" var s;
-      None
-  end
-
-let of_env ?(var = "MAD_OBS") () =
-  let sample = env_float (var ^ "_SAMPLE") in
-  let slow_ms = env_float (var ^ "_SLOW_MS") in
-  let seed = Option.value ~default:default_seed (env_int (var ^ "_SEED")) in
-  let sampled ?tracing sink = create ?tracing ~sink ?sample ?slow_ms ~seed () in
-  let file_suffix prefix spec =
-    let n = String.length prefix in
-    if String.length spec > n && String.sub spec 0 n = prefix then
-      Some (String.sub spec n (String.length spec - n))
-    else None
-  in
-  match Option.map String.trim (Sys.getenv_opt var) with
-  | None | Some "" | Some "off" | Some "none" | Some "0" -> create ~tracing:false ()
-  | Some "pretty" -> sampled (Sink.pretty Fmt.stderr)
-  | Some "json" -> sampled (Sink.json stderr)
-  | Some spec when file_suffix "json:" spec <> None ->
-    let path = Option.get (file_suffix "json:" spec) in
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    at_exit (fun () -> try close_out oc with Sys_error _ -> ());
-    sampled (Sink.json oc)
-  | Some spec when file_suffix "prom:" spec <> None ->
-    (* metrics-only mode: spans are not recorded (the [timed]
-       histograms are), and the registry is flushed as Prometheus text
-       when the process exits *)
-    let path = Option.get (file_suffix "prom:" spec) in
-    let t = sampled ~tracing:false Sink.noop in
+let of_env () =
+  match Option.map String.trim (Sys.getenv_opt "MAD_OBS") with
+  | None | Some ("" | "off" | "none" | "0") -> create ()
+  | Some spec
+    when String.starts_with ~prefix:"prom:" spec && String.length spec > 5 ->
+    (* the registry is flushed as Prometheus text when the process
+       exits *)
+    let path = String.sub spec 5 (String.length spec - 5) in
+    let t = create () in
     at_exit (fun () ->
         try
           let oc = open_out path in
@@ -284,10 +125,10 @@ let of_env ?(var = "MAD_OBS") () =
     t
   | Some other ->
     Printf.eprintf
-      "mad_obs: unknown %s value %S (expected off, pretty, json, json:FILE \
-       or prom:FILE); observability disabled\n%!"
-      var other;
-    create ~tracing:false ()
+      "mad_obs: unknown MAD_OBS value %S (expected off or prom:FILE; spans \
+       are exported with MAD_OBS_TRACE=FILE)\n%!"
+      other;
+    create ()
 
 (* domain-safe: the first [default] call can come from any domain *)
 let default = Once.make of_env

@@ -1,36 +1,22 @@
-(** The observability context: a metrics registry, a span stack, a
-    sink and an optional span sampler.  Threaded through the engine
-    layers; {!noop} is the shared disabled context for code that was
-    not handed one.  [MAD_OBS] selects the sink: [off] (default) /
-    [pretty] / [json] / [json:FILE] / [prom:FILE]; [MAD_OBS_SAMPLE],
-    [MAD_OBS_SLOW_MS] and [MAD_OBS_SEED] configure sampling. *)
+(** The observability context: a metrics registry and the depth of the
+    spans open on it.  Threaded through the engine layers; {!noop} is
+    the shared disabled context for code that was not handed one.
+
+    Spans are stored only in the global flight-recorder ring
+    ({!Recorder}); [MAD_OBS_TRACE], [--trace] and [madql trace] export
+    it as a Chrome trace.  [MAD_OBS] configures metrics export: [off]
+    (default) or [prom:FILE]. *)
 
 type t
 
-val create :
-  ?tracing:bool ->
-  ?sink:Sink.t ->
-  ?sample:float ->
-  ?slow_ms:float ->
-  ?seed:int ->
-  unit ->
-  t
-(** [sample] is the head-based keep probability for root spans (drawn
-    from an RNG seeded with [seed], default a fixed constant, so runs
-    are reproducible); [slow_ms] always keeps root spans at least that
-    slow.  Root spans carrying an [error] attribute are always kept.
-    With neither [sample] nor [slow_ms], every span is kept.  Sampling
-    only gates span {e emission}: metrics — including the
-    [op.latency_us] histograms of {!timed} — stay exact. *)
+val create : unit -> t
 
 val noop : t
-(** Shared disabled context: spans are not recorded, the sink drops
-    everything.  Counters created against it still count (cheaply)
-    but are never exported. *)
+(** Shared disabled context: spans are neither journaled nor timed.
+    Counters created against it still count (cheaply) but are never
+    exported. *)
 
 val registry : t -> Registry.t
-val sink : t -> Sink.t
-val enabled : t -> bool
 
 val last_seq : t -> int
 (** Flight-recorder seq of the most recently closed span on this
@@ -48,48 +34,31 @@ val is_noop : t -> bool
 (** True for the shared {!noop} context (which never times, so
     {!last_dur_us} stays [-1] on it). *)
 
-val with_span : t -> string -> ?attrs:(string * Span.value) list -> (Span.t -> 'a) -> 'a
-(** Run the function inside a span nested under the current one; on
-    completion of the outermost span, the tree is emitted to the sink.
-    With tracing off the function simply receives {!Span.none}.
-    Exception-safe; an escaping exception is recorded as an [error]
-    attribute.
-
-    Every span open/close (except on {!noop}) also journals to the
-    global {!Recorder} ring regardless of tracing or sampling — that
-    always-on record feeds [--trace] dumps and histogram exemplars.
-    When an errored root span closes and [MAD_OBS_TRACE] is set, the
-    ring is dumped automatically ({!Recorder.dump_on_error}). *)
-
-val current_span : t -> Span.t option
+val with_span : t -> string -> (unit -> 'a) -> 'a
+(** Run the function inside a span: its open and close journal to the
+    global {!Recorder} ring, stamped by one {!Monotonic.ticks} pair.
+    Exception-safe; an escaping exception flags the close event as an
+    error.  When an errored root span (one not nested in another span
+    on this context) closes and [MAD_OBS_TRACE] is set, the ring is
+    dumped ({!Recorder.dump_on_error}).  On {!noop} the function simply
+    runs. *)
 
 val counter : ?labels:Metric.labels -> t -> string -> Metric.counter
 val gauge : ?labels:Metric.labels -> t -> string -> Metric.gauge
 val histogram : ?labels:Metric.labels -> ?bounds:float array -> t -> string -> Metric.histogram
 
-val timed : t -> string -> ?attrs:(string * Span.value) list -> (Span.t -> 'a) -> 'a
-(** {!with_span} plus a latency record: the wall-clock duration lands
-    in the registry's [op.latency_us] histogram labeled [op=name],
-    even when tracing is off or the sampler drops the span (the shared
-    {!noop} context alone skips the clock).  The observation carries
-    the span's flight-recorder seq as its bucket exemplar, so
+val timed : t -> string -> (unit -> 'a) -> 'a
+(** {!with_span} plus a latency record: the span's duration (the same
+    clock pair) lands in the registry's [op.latency_us] histogram
+    labeled [op=name], also when the function raises.  The observation
+    carries the span's flight-recorder seq as its bucket exemplar, so
     [madql stats] can link a latency bucket to a trace event.  The
     engine's operator instrumentation points use this. *)
 
-val event : t -> string -> (string * Span.value) list -> unit
-(** Emit a free-form event (kind, fields) to the sink. *)
-
-val flush : t -> unit
-(** Push every registered metric to the sink. *)
-
-val pp_metrics : Format.formatter -> t -> unit
-
-val of_env : ?var:string -> unit -> t
-(** Build a context from the [MAD_OBS] (or [var]) environment
-    variable; unknown values warn on stderr and disable.  [prom:FILE]
-    records metrics only and writes the registry's Prometheus text to
-    FILE on exit.  [<var>_SAMPLE], [<var>_SLOW_MS] and [<var>_SEED]
-    configure the span sampler. *)
+val of_env : unit -> t
+(** Build a context from the [MAD_OBS] environment variable; unknown
+    values warn on stderr and fall back to [off].  [prom:FILE] writes
+    the registry's Prometheus text to FILE on exit. *)
 
 val default : unit -> t
 (** The lazily-created process-wide context per {!of_env}. *)

@@ -21,7 +21,6 @@
 type kind =
   | Span_begin
   | Span_end
-  | Metric_flush
   | Wal_append
   | Wal_fsync
   | Group_commit
@@ -42,7 +41,6 @@ type kind =
 let kind_name = function
   | Span_begin -> "span.begin"
   | Span_end -> "span.end"
-  | Metric_flush -> "metric.flush"
   | Wal_append -> "wal.append"
   | Wal_fsync -> "wal.fsync"
   | Group_commit -> "wal.group_commit"
@@ -254,7 +252,7 @@ let is_complete ev =
   | Closure_repair | Kernel_run | Kernel_chunk ->
     true
   | Serve_request | Serve_phase -> true
-  | Span_begin | Metric_flush | Wal_append | Snapshot_invalidate
+  | Span_begin | Wal_append | Snapshot_invalidate
   | Recovery_replay | Plan_switch | Slow_query | Probe_fired | Serve_conn ->
     false
 
@@ -272,7 +270,6 @@ let args_of ev =
     match ev.e_kind with
     | Span_begin -> []
     | Span_end -> if ev.e_b <> 0 then [ ("error", Json.Bool true) ] else []
-    | Metric_flush -> [ ("samples", num ev.e_a) ]
     | Wal_append -> [ ("wal", Json.Str ev.e_label); ("bytes", num ev.e_a) ]
     | Wal_fsync -> [ ("wal", Json.Str ev.e_label) ]
     | Group_commit -> [ ("wal_records", num ev.e_a) ]

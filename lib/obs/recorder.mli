@@ -22,7 +22,6 @@ type kind =
   | Span_end
       (** a span closed; [label] = name, [dur_ns] = duration, [a] =
           the matching begin's seq, [b] = 1 when the span errored *)
-  | Metric_flush  (** [Obs.flush] ran; [a] = samples flushed *)
   | Wal_append  (** a WAL record hit the OS; [label] = wal tag, [a] = framed bytes *)
   | Wal_fsync  (** [dur_ns] = fsync latency; [label] = wal tag *)
   | Group_commit  (** statement commit; [a] = WAL records so far *)

@@ -49,7 +49,7 @@ type t = {
   lock : Mutex.t;
   mutable count : int;  (** frames ever pushed into the ring *)
   mutable seq : int;  (** next frame seq to assign *)
-  mutable last_tick : float;  (** {!Span.clock} of the last tick, [-inf] *)
+  mutable last_tick : float;  (** {!Monotonic.clock} of the last tick, [-inf] *)
   probe_tbl : (string, Probe.t) Hashtbl.t;
   mutable probe_order : Probe.t list;  (** creation order, reversed *)
   mutable wal_seen : int;  (** recorder seq bound of the fsync window *)
@@ -361,7 +361,7 @@ let tick ?epoch t registry =
       (* register the verdict gauge before snapshotting, so the frame
          carries last tick's verdict and expose always shows one *)
       let hg = Registry.gauge registry "health.state" in
-      let now = !Span.clock () in
+      let now = !Monotonic.clock () in
       let f =
         {
           f_seq = t.seq;
@@ -381,7 +381,7 @@ let tick ?epoch t registry =
       f)
 
 let maybe_tick ?epoch t registry =
-  if !Span.clock () -. t.last_tick >= t.tl_interval then begin
+  if !Monotonic.clock () -. t.last_tick >= t.tl_interval then begin
     ignore (tick ?epoch t registry);
     true
   end

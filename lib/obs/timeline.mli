@@ -52,7 +52,7 @@ type point = {
 
 type frame = {
   f_seq : int;  (** monotonic frame number *)
-  f_unix : float;  (** {!Span.clock} seconds at sample time *)
+  f_unix : float;  (** {!Monotonic.clock} seconds at sample time *)
   f_ticks : int;  (** {!Monotonic.ticks} at sample time *)
   f_points : point array;
 }

@@ -11,8 +11,7 @@
     [Mad_mql.Session] sits below PRIMA and cannot depend on this
     module, so the state rides in the session's extension slot
     ({!Mad_mql.Session.ext}) and {!install} registers the profiling
-    hook, exactly like {!Profile.install} — but where [Profile]'s hook
-    is stateless, this one learns. *)
+    hook: {!Profile.analyze_stmt} wrapped in the learning loop. *)
 
 module Session = Mad_mql.Session
 
@@ -158,7 +157,7 @@ let analyze_stmt (session : Session.t) stmt =
   | None -> Profile.analyze_stmt session stmt
 
 (** Register the learning profiler as the session layer's
-    [EXPLAIN ANALYZE] engine (supersedes {!Profile.install}), and the
+    [EXPLAIN ANALYZE] engine, and the
     plan hasher behind the workload digest. *)
 let install () =
   Session.analyze_hook := Some analyze_stmt;

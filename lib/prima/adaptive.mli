@@ -59,7 +59,7 @@ val plan_hash_stmt : Session.t -> fp:int -> Mad_mql.Ast.stmt -> int
 
 val install : unit -> unit
 (** Register {!analyze_stmt} in {!Mad_mql.Session.analyze_hook}
-    (supersedes {!Profile.install}) and {!plan_hash_stmt} in
+    and {!plan_hash_stmt} in
     {!Mad_mql.Session.plan_hash_hook} — the full workload-introspection
     wiring. *)
 

@@ -3,13 +3,13 @@
     type.  The counters in {!Atom_interface} record the logical work;
     the Q2 ablation compares naive vs. optimized plans on them.
 
-    Each plan stage (scan, derive, filter, project) runs under its own
-    tracing span so a profile shows where a query's time and logical
-    work went; all spans nest under one [prima.execute] root. *)
+    Each plan stage (plan, scan, derive, filter, project) runs under
+    its own timed span so a profile shows where a query's time went
+    ({!Profile} reads the stage latencies back); all spans nest under
+    one [prima.execute] root. *)
 
 open Mad_store
 module Obs = Mad_obs.Obs
-module Span = Mad_obs.Span
 
 type outcome = {
   mt : Mad.Molecule_type.t;
@@ -25,16 +25,14 @@ let satisfies db desc m pred =
 
 let run ?(obs = Obs.noop) ?stats ?catalog ?(optimize = true)
     ?(materialize = false) db (q : Planner.query) =
-  Obs.timed obs "prima.execute"
-    ~attrs:[ ("query", Span.Str q.Planner.name) ]
-  @@ fun _ ->
+  Obs.timed obs "prima.execute" @@ fun () ->
   let stats =
     match stats with
     | Some s -> s
     | None -> Mad.Derive.stats_in (Obs.registry obs)
   in
   let plan =
-    Obs.timed obs "prima.plan" (fun _ ->
+    Obs.timed obs "prima.plan" (fun () ->
         let p = Planner.plan ~optimize q in
         (* the catalog-driven pass on top of the algebraic rewrites:
            residual conjunct ordering from (possibly learned) stats *)
@@ -45,35 +43,15 @@ let run ?(obs = Obs.noop) ?stats ?catalog ?(optimize = true)
   let iface = Atom_interface.v db in
   let root_node = Mad.Mdesc.root q.Planner.desc in
   let roots =
-    Obs.timed obs "prima.scan"
-      ~attrs:
-        [
-          ("node", Span.Str root_node);
-          ( "pushdown",
-            Span.Bool (Option.is_some plan.Planner.root_pred) );
-        ]
-    @@ fun sp ->
-    let roots =
-      Atom_interface.scan ?pred:plan.Planner.root_pred iface root_node
-    in
-    Span.set sp "out" (Span.Int (List.length roots));
-    roots
+    Obs.timed obs "prima.scan" @@ fun () ->
+    Atom_interface.scan ?pred:plan.Planner.root_pred iface root_node
   in
   let a0 = Mad.Derive.atoms_visited stats
   and l0 = Mad.Derive.links_traversed stats in
   let derived =
-    Obs.timed obs "prima.derive"
-      ~attrs:[ ("roots", Span.Int (List.length roots)) ]
-    @@ fun sp ->
-    let derived =
-      Mad.Derive.derive_roots ~stats db plan.Planner.derive_desc
-        (List.map (fun (a : Atom.t) -> a.id) roots)
-    in
-    Span.set sp "atoms_visited"
-      (Span.Int (Mad.Derive.atoms_visited stats - a0));
-    Span.set sp "links_traversed"
-      (Span.Int (Mad.Derive.links_traversed stats - l0));
-    derived
+    Obs.timed obs "prima.derive" @@ fun () ->
+    Mad.Derive.derive_roots ~stats db plan.Planner.derive_desc
+      (List.map (fun (a : Atom.t) -> a.id) roots)
   in
   iface.Atom_interface.c.Atom_interface.links_followed <-
     iface.Atom_interface.c.Atom_interface.links_followed
@@ -85,16 +63,8 @@ let run ?(obs = Obs.noop) ?stats ?catalog ?(optimize = true)
     match plan.Planner.residual with
     | None -> derived
     | Some pred ->
-      Obs.timed obs "prima.filter"
-        ~attrs:[ ("in", Span.Int (List.length derived)) ]
-      @@ fun sp ->
-      let kept =
-        List.filter
-          (fun m -> satisfies db plan.Planner.derive_desc m pred)
-          derived
-      in
-      Span.set sp "out" (Span.Int (List.length kept));
-      kept
+      Obs.timed obs "prima.filter" @@ fun () ->
+      List.filter (fun m -> satisfies db plan.Planner.derive_desc m pred) derived
   in
   let mt =
     Mad.Molecule_type.v ~name:q.Planner.name ~desc:plan.Planner.derive_desc
@@ -104,9 +74,7 @@ let run ?(obs = Obs.noop) ?stats ?catalog ?(optimize = true)
     match q.Planner.select with
     | None -> mt
     | Some items ->
-      Obs.timed obs "prima.project"
-        ~attrs:[ ("materialize", Span.Bool materialize) ]
-      @@ fun _ ->
+      Obs.timed obs "prima.project" @@ fun () ->
       (* keep only selected nodes that survive in the derive structure *)
       let keep =
         List.filter

@@ -1,15 +1,14 @@
 (** EXPLAIN ANALYZE for the molecule engine: run a query under a
     private observability context, then line the planner's estimates
     ({!Stats.estimate_detail}) up against the actuals the derivation
-    recorded — per structure node, plus the stage timings captured by
-    the executor's spans.
+    recorded — per structure node, plus the stage latencies the
+    executor's timed spans observed.
 
-    The profiler also bridges the layering gap of [EXPLAIN ANALYZE] in
-    MOL: {!Mad_mql.Session} sits below PRIMA and cannot call it, so
-    {!install} registers {!analyze_stmt} in the session's hook. *)
+    {!analyze_stmt} is the [EXPLAIN ANALYZE] report
+    {!Adaptive.install} registers in the session's hook. *)
 
 module Obs = Mad_obs.Obs
-module Span = Mad_obs.Span
+module Metric = Mad_obs.Metric
 module Registry = Mad_obs.Registry
 module Json = Mad_obs.Json
 
@@ -39,11 +38,7 @@ type t = {
     fresh {!Stats.collect}); pass a refined catalog to see how much an
     adaptive run closed the gap. *)
 let analyze ?(optimize = true) ?stats:catalog db (q : Planner.query) =
-  let spans = ref [] in
-  let sink =
-    { Mad_obs.Sink.noop with emit_span = (fun sp -> spans := sp :: !spans) }
-  in
-  let obs = Obs.create ~tracing:true ~sink () in
+  let obs = Obs.create () in
   let reg = Obs.registry obs in
   let stats = Mad.Derive.stats_in reg in
   let catalog =
@@ -67,20 +62,25 @@ let analyze ?(optimize = true) ?stats:catalog db (q : Planner.query) =
         })
       detail.Stats.d_nodes
   in
-  let root_span =
-    List.find_opt
-      (fun (sp : Span.t) -> String.equal sp.Span.name "prima.execute")
-      !spans
+  (* the registry is fresh, so its op.latency_us series appear in the
+     order the executor first timed them: prima.execute, then its
+     stages in executor order *)
+  let latencies =
+    List.filter_map
+      (function
+        | Metric.Histogram h when String.equal h.Metric.h_name "op.latency_us"
+          -> (
+          match List.assoc_opt "op" h.Metric.h_labels with
+          | Some op when String.starts_with ~prefix:"prima." op ->
+            Some (op, Metric.sum h /. 1e3)
+          | Some _ | None -> None)
+        | Metric.Counter _ | Metric.Gauge _ | Metric.Histogram _ -> None)
+      (Registry.to_list reg)
   in
-  let stages, duration_ms =
-    match root_span with
-    | None -> ([], 0.0)
-    | Some sp ->
-      ( List.map
-          (fun (c : Span.t) -> (c.Span.name, Span.duration_ms c))
-          (Span.children sp),
-        Span.duration_ms sp )
+  let duration_ms =
+    Option.value ~default:0.0 (List.assoc_opt "prima.execute" latencies)
   in
+  let stages = List.remove_assoc "prima.execute" latencies in
   {
     plan = outcome.Executor.plan;
     est = detail.Stats.d_est;
@@ -267,16 +267,12 @@ let analyze_stmt (session : Mad_mql.Session.t) stmt =
     let s = session.Mad_mql.Session.stats in
     let a0 = Mad.Derive.atoms_visited s
     and l0 = Mad.Derive.links_traversed s in
-    let t0 = !Span.clock () in
+    let t0 = !Mad_obs.Monotonic.clock () in
     ignore (Mad_mql.Session.eval_stmt session stmt);
-    let ms = (!Span.clock () -. t0) *. 1000. in
+    let ms = (!Mad_obs.Monotonic.clock () -. t0) *. 1000. in
     Format.asprintf
       "%s@.actual: %d atoms visited, %d links traversed (%.2f ms)"
       (Mad_mql.Session.explain_stmt session stmt)
       (Mad.Derive.atoms_visited s - a0)
       (Mad.Derive.links_traversed s - l0)
       ms
-
-(** Register {!analyze_stmt} as the session layer's [EXPLAIN ANALYZE]
-    engine. *)
-let install () = Mad_mql.Session.analyze_hook := Some analyze_stmt

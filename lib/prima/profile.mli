@@ -19,7 +19,9 @@ type t = {
   actual_atoms : int;
   actual_links : int;
   nodes : node_report list;
-  stages : (string * float) list;  (** executor stage -> duration ms *)
+  stages : (string * float) list;
+      (** executor stage -> duration ms, in executor order, read from
+          the run's [op.latency_us{op=prima.*}] sums *)
   duration_ms : float;
   counters : Atom_interface.counters;
 }
@@ -60,7 +62,6 @@ val query_of_stmt : Database.t -> Mad_mql.Ast.stmt -> Planner.query option
 val analyze_stmt : Mad_mql.Session.t -> Mad_mql.Ast.stmt -> string
 (** The [EXPLAIN ANALYZE] report for a parsed statement: the full
     per-node profile for physical-plan queries, algebra plan plus
-    session-level actuals otherwise. *)
-
-val install : unit -> unit
-(** Register {!analyze_stmt} in {!Mad_mql.Session.analyze_hook}. *)
+    session-level actuals otherwise.  {!Adaptive.install} registers it
+    (wrapped in the feedback loop) as the session's [EXPLAIN ANALYZE]
+    engine. *)

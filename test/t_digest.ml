@@ -24,7 +24,7 @@ let contains s sub =
 let brazil () = Geo_brazil.db (Geo_brazil.build ())
 
 let session () =
-  Session.create ~obs:(Obs.create ~tracing:false ()) (brazil ())
+  Session.create ~obs:(Obs.create ()) (brazil ())
 
 (* run with both digest hooks saved and restored, so a test can install
    its own (or Prima.Adaptive's) without leaking into other suites *)
@@ -181,7 +181,7 @@ let test_plan_switch_detection () =
    conjunct order must *)
 let test_plan_hash_identity () =
   let db = brazil () in
-  let s = Session.create ~obs:(Obs.create ~tracing:false ()) db in
+  let s = Session.create ~obs:(Obs.create ()) db in
   let plan_of src =
     match Prima.Profile.query_of_stmt db (Session.parse s src) with
     | Some q -> Prima.Planner.plan ~optimize:true q

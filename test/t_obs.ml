@@ -1,14 +1,14 @@
-(* The observability layer: registry get-or-create semantics, span
-   nesting under a deterministic clock, JSON sink round-trips, and
-   EXPLAIN ANALYZE's estimate-vs-actual wiring on the Fig. 1 brazil
+(* The observability layer: registry get-or-create semantics, the
+   flight-recorder span journal and its error dump, and EXPLAIN
+   ANALYZE's estimate-vs-actual wiring on the Fig. 1 brazil
    database. *)
 
 open Workloads
 module Obs = Mad_obs.Obs
 module Registry = Mad_obs.Registry
 module Metric = Mad_obs.Metric
-module Span = Mad_obs.Span
-module Sink = Mad_obs.Sink
+module Monotonic = Mad_obs.Monotonic
+module Recorder = Mad_obs.Recorder
 module Json = Mad_obs.Json
 
 let check = Alcotest.(check bool)
@@ -125,133 +125,18 @@ let test_expose_golden () =
 
 (* run [f] under a fake clock advancing [step] seconds per reading *)
 let with_fake_clock step f =
-  let saved = !Span.clock in
+  let saved = !Monotonic.clock in
   let t = ref 0.0 in
-  Span.clock :=
+  Monotonic.clock :=
     (fun () ->
       let now = !t in
       t := now +. step;
       now);
-  Fun.protect ~finally:(fun () -> Span.clock := saved) f
-
-let capture_ctx () =
-  let spans = ref [] in
-  let sink = { Sink.noop with Sink.emit_span = (fun sp -> spans := sp :: !spans) } in
-  (Obs.create ~tracing:true ~sink (), spans)
-
-let test_span_nesting () =
-  with_fake_clock 0.001 @@ fun () ->
-  let obs, spans = capture_ctx () in
-  let result =
-    Obs.with_span obs "outer" ~attrs:[ ("q", Span.Str "v") ] @@ fun outer ->
-    ignore (Obs.with_span obs "inner" (fun _ -> 1));
-    Span.set outer "out" (Span.Int 42);
-    "done"
-  in
-  check_str "value returned" "done" result;
-  (* only the root emits, carrying the child *)
-  check_int "one root span" 1 (List.length !spans);
-  let root = List.hd !spans in
-  check_str "root name" "outer" root.Span.name;
-  check "root finished" true (Span.finished root);
-  check_int "one child" 1 (List.length (Span.children root));
-  check_str "child name" "inner" (List.hd (Span.children root)).Span.name;
-  check "child shorter than root" true
-    (Span.duration_ms (List.hd (Span.children root)) < Span.duration_ms root);
-  check "attrs recorded" true
-    (List.mem_assoc "q" (Span.attrs root)
-    && List.assoc "out" (Span.attrs root) = Span.Int 42)
-
-let test_span_noop () =
-  let count = ref 0 in
-  let sink = { Sink.noop with Sink.emit_span = (fun _ -> incr count) } in
-  let obs = Obs.create ~tracing:false ~sink () in
-  Obs.with_span obs "quiet" (fun sp ->
-      check "noop span handed out" true (sp == Span.none);
-      Span.set sp "ignored" (Span.Int 1));
-  check_int "nothing emitted" 0 !count;
-  Obs.with_span Obs.noop "also quiet" (fun sp ->
-      check "shared noop context" true (sp == Span.none))
-
-let test_span_exception_safe () =
-  with_fake_clock 0.001 @@ fun () ->
-  let obs, spans = capture_ctx () in
-  (try Obs.with_span obs "boom" (fun _ -> failwith "expected") with
-  | Failure _ -> ());
-  check_int "span still emitted" 1 (List.length !spans);
-  let root = List.hd !spans in
-  check "error attribute" true (List.mem_assoc "error" (Span.attrs root));
-  (* the stack unwound: a fresh root nests correctly again *)
-  Obs.with_span obs "next" (fun _ -> ());
-  check_int "fresh root" 2 (List.length !spans);
-  check_str "not nested under boom" "next" (List.hd !spans).Span.name
-
-(* ------------------------------------------------------------------ *)
-(* Span sampling                                                        *)
-
-let sampled_ctx ?slow_ms rate seed =
-  let spans = ref [] in
-  let sink =
-    { Sink.noop with Sink.emit_span = (fun sp -> spans := sp :: !spans) }
-  in
-  (Obs.create ~tracing:true ~sink ~sample:rate ?slow_ms ~seed (), spans)
-
-let run_roots obs n =
-  for i = 1 to n do
-    Obs.with_span obs (Printf.sprintf "s%d" i) (fun _ -> ())
-  done
-
-let kept spans = List.rev_map (fun (sp : Span.t) -> sp.Span.name) !spans
-
-let test_sampling_deterministic () =
-  let obs1, s1 = sampled_ctx 0.5 42 in
-  let obs2, s2 = sampled_ctx 0.5 42 in
-  run_roots obs1 40;
-  run_roots obs2 40;
-  let k1 = kept s1 and k2 = kept s2 in
-  check "same seed keeps the same roots" true (k1 = k2);
-  check "some kept" true (List.length k1 > 0);
-  check "some dropped" true (List.length k1 < 40);
-  let obs3, s3 = sampled_ctx 0.5 43 in
-  run_roots obs3 40;
-  check "a different seed draws differently" true (kept s3 <> k1)
-
-let test_sampling_always_keeps_errors_and_slow () =
-  let obs, spans = sampled_ctx 0.0 7 in
-  run_roots obs 10;
-  check_int "rate 0 drops everything" 0 (List.length !spans);
-  (* an errored root beats the coin flip *)
-  (try Obs.with_span obs "boom" (fun _ -> failwith "expected") with
-  | Failure _ -> ());
-  check_int "errored root still emitted" 1 (List.length !spans);
-  check_str "errored root" "boom" (List.hd !spans).Span.name;
-  (* and so does a root slower than the threshold: the fake clock makes
-     every span take ~20 ms against a 10 ms threshold *)
-  with_fake_clock 0.02 @@ fun () ->
-  let obs, spans = sampled_ctx ~slow_ms:10.0 0.0 7 in
-  Obs.with_span obs "slow" (fun _ -> ());
-  check_int "slow root emitted" 1 (List.length !spans)
-
-let test_sampling_metrics_stay_exact () =
-  let obs, spans = sampled_ctx 0.0 7 in
-  for _ = 1 to 5 do
-    Obs.timed obs "work" (fun _ -> ())
-  done;
-  check_int "all spans dropped" 0 (List.length !spans);
-  match
-    Registry.find (Obs.registry obs) ~labels:[ ("op", "work") ] "op.latency_us"
-  with
-  | Some (Metric.Histogram h) ->
-    check_int "histogram counted every run" 5 (Metric.count h)
-  | _ -> Alcotest.fail "op.latency_us{op=work} histogram missing"
+  Fun.protect ~finally:(fun () -> Monotonic.clock := saved) f
 
 let test_timed_without_tracing () =
-  let obs = Obs.create ~tracing:false () in
-  let v =
-    Obs.timed obs "op.x" (fun sp ->
-        check "timed hands out the noop span" true (sp == Span.none);
-        7)
-  in
+  let obs = Obs.create () in
+  let v = Obs.timed obs "op.x" (fun () -> 7) in
   check_int "value returned" 7 v;
   (match
      Registry.find (Obs.registry obs) ~labels:[ ("op", "op.x") ] "op.latency_us"
@@ -259,62 +144,76 @@ let test_timed_without_tracing () =
   | Some (Metric.Histogram h) -> check_int "latency recorded" 1 (Metric.count h)
   | _ -> Alcotest.fail "op.latency_us{op=op.x} histogram missing");
   (* only the shared noop context skips the record entirely *)
-  ignore (Obs.timed Obs.noop "noop.probe" (fun _ -> ()));
+  ignore (Obs.timed Obs.noop "noop.probe" (fun () -> ()));
   check "noop context records nothing" true
     (Registry.find (Obs.registry Obs.noop)
        ~labels:[ ("op", "noop.probe") ]
        "op.latency_us"
     = None)
 
-(* ------------------------------------------------------------------ *)
-(* JSON sink round-trip                                                 *)
-
-let parse_line line =
-  match Json.of_string line with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "unparseable sink line %S: %s" line e
-
-let test_json_sink_roundtrip () =
-  with_fake_clock 0.001 @@ fun () ->
-  let lines = ref [] in
-  let obs =
-    Obs.create ~tracing:true
-      ~sink:(Sink.json_lines (fun l -> lines := l :: !lines))
-      ()
+(* an errored root span dumps the flight recorder to MAD_OBS_TRACE on
+   every non-noop context; an error caught inside a nested span does
+   not dump until its root closes with an error too *)
+let test_error_autodump () =
+  Recorder.set_enabled true;
+  let path = Filename.temp_file "t_obs_autodump" ".json" in
+  let saved = Sys.getenv_opt "MAD_OBS_TRACE" in
+  Unix.putenv "MAD_OBS_TRACE" path;
+  let read () =
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> In_channel.input_all ic)
   in
-  Obs.with_span obs "root" ~attrs:[ ("n", Span.Int 3) ] (fun _ ->
-      Obs.with_span obs "child" (fun _ -> ()));
-  Obs.event obs "bench" [ ("ns", Span.Float 12.5) ];
-  Metric.add (Obs.counter obs "hits") 9;
-  Obs.flush obs;
-  let jsons = List.rev_map parse_line !lines in
-  check "every line parses" true (List.length jsons >= 3);
-  let span_json =
-    List.find
-      (fun j -> Json.member "kind" j = Some (Json.Str "span"))
-      jsons
+  let dumped () = Sys.file_exists path in
+  let boom obs name = Obs.with_span obs name (fun () -> failwith "expected") in
+  let errored_end_of name text =
+    match Json.of_string text with
+    | Error e -> Alcotest.failf "dumped trace does not parse: %s" e
+    | Ok j -> (
+      match Json.member "traceEvents" j with
+      | Some (Json.List evs) ->
+        List.exists
+          (fun e ->
+            Json.member "name" e = Some (Json.Str name)
+            && Option.bind (Json.member "args" e) (Json.member "error")
+               = Some (Json.Bool true))
+          evs
+      | _ -> false)
   in
-  check "span name" true (Json.member "name" span_json = Some (Json.Str "root"));
-  check "span attr" true
-    (Option.bind (Json.member "attrs" span_json) (Json.member "n")
-    = Some (Json.Num 3.0));
-  check "span child present" true
-    (match Json.member "children" span_json with
-    | Some (Json.List [ c ]) -> Json.member "name" c = Some (Json.Str "child")
-    | _ -> false);
-  let event_json =
-    List.find
-      (fun j -> Json.member "kind" j = Some (Json.Str "bench"))
-      jsons
-  in
-  check "event field" true (Json.member "ns" event_json = Some (Json.Num 12.5));
-  let metric_json =
-    List.find
-      (fun j -> Json.member "name" j = Some (Json.Str "hits"))
-      jsons
-  in
-  check "metric value" true
-    (Json.member "value" metric_json = Some (Json.Num 9.0))
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "MAD_OBS_TRACE" (Option.value ~default:"" saved);
+      if dumped () then Sys.remove path)
+    (fun () ->
+      Sys.remove path;
+      let obs = Obs.create () in
+      (try
+         Obs.with_span obs "t_obs.root" (fun () ->
+             (try boom obs "t_obs.nested" with Failure _ -> ());
+             check "nested error does not dump" false (dumped ());
+             failwith "expected")
+       with Failure _ -> ());
+      check "errored root dumps" true (dumped ());
+      let text = read () in
+      check "span.end with b = 1 for the root" true
+        (errored_end_of "t_obs.root" text);
+      check "the nested error is in the dump" true
+        (errored_end_of "t_obs.nested" text);
+      (* the raise unwound the depth: the next errored span is a root *)
+      Sys.remove path;
+      (try boom obs "t_obs.next" with Failure _ -> ());
+      check "next errored root dumps again" true (dumped ());
+      (* the process-wide context plain madql and repl sessions use *)
+      Sys.remove path;
+      (try boom (Obs.default ()) "t_obs.default" with Failure _ -> ());
+      check "default context dumps" true (dumped ());
+      check "span.end with b = 1 for the default-context root" true
+        (errored_end_of "t_obs.default" (read ()));
+      (* the shared noop context journals nothing, so dumps nothing *)
+      Sys.remove path;
+      (try boom Obs.noop "t_obs.noop" with Failure _ -> ());
+      check "noop context never dumps" false (dumped ()))
 
 (* ------------------------------------------------------------------ *)
 (* Estimate vs. actual on Fig. 1                                        *)
@@ -351,10 +250,38 @@ let test_profile_actuals_match_ground_truth () =
     = r.Prima.Profile.actual_roots);
   (* one report per structure node *)
   check_int "one report per node" (List.length (Mad.Mdesc.nodes desc))
-    (List.length r.Prima.Profile.nodes)
+    (List.length r.Prima.Profile.nodes);
+  (* the stage timings are the run's op.latency_us{op=prima.*} sums:
+     the stages that ran, in executor order, each within the whole
+     execution — with a residual and a selection, filter and project
+     run too *)
+  let check_stages name expected (r : Prima.Profile.t) =
+    Alcotest.(check (list string))
+      (name ^ ": stages in executor order")
+      expected
+      (List.map fst r.Prima.Profile.stages);
+    check (name ^ ": execution timed") true (r.Prima.Profile.duration_ms > 0.0);
+    List.iter
+      (fun (stage, ms) ->
+        check
+          (name ^ ": " ^ stage ^ " within the execution")
+          true
+          (ms >= 0.0 && ms <= r.Prima.Profile.duration_ms))
+      r.Prima.Profile.stages
+  in
+  check_stages "plain" [ "prima.plan"; "prima.scan"; "prima.derive" ] r;
+  check_stages "filtered"
+    [ "prima.plan"; "prima.scan"; "prima.derive"; "prima.filter";
+      "prima.project" ]
+    (Prima.Profile.analyze db
+       {
+         q with
+         where = Some Mad.Qual.(attr "point" "name" =% str "pn");
+         select = Some [ ("state", None); ("area", None) ];
+       })
 
 let test_explain_analyze_via_session () =
-  Prima.Profile.install ();
+  Prima.Adaptive.install ();
   let _, db = brazil () in
   let session = Mad_mql.Session.create db in
   let report =
@@ -387,7 +314,7 @@ let has_substr s sub =
 let test_adaptive_session () =
   Prima.Adaptive.install ();
   let _, db = brazil () in
-  let obs = Obs.create ~tracing:true () in
+  let obs = Obs.create () in
   let session = Mad_mql.Session.create ~obs db in
   ignore (Mad_mql.Session.run_to_string session "SELECT ALL FROM state-area;");
   (match
@@ -414,8 +341,6 @@ let test_adaptive_session () =
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                      *)
-
-module Recorder = Mad_obs.Recorder
 
 let test_recorder_ring_wrap () =
   let r = Recorder.create 8 in
@@ -523,31 +448,105 @@ let test_recorder_chrome_export () =
   check "fsync duration in us" true
     (Json.member "dur" fsync = Some (Json.Num 2000.0))
 
-(* spans journal to the global ring even on a non-tracing context —
-   the "always on" half of the flight-recorder contract *)
+(* the events of the global ring whose label starts with [prefix],
+   keyed "kind label", in journal order *)
+let journal_of prefix =
+  List.filter_map
+    (fun e ->
+      let l = e.Recorder.e_label in
+      if String.starts_with ~prefix l then
+        Some (Recorder.kind_name e.Recorder.e_kind ^ " " ^ l, e)
+      else None)
+    (Recorder.drain (Recorder.global ()))
+
+(* a nested pair journals begin/end in LIFO order with the child
+   inside the parent, and each end points at its begin *)
+let test_span_nesting () =
+  Recorder.set_enabled true;
+  ignore (journal_of "");
+  let obs = Obs.create () in
+  let result =
+    with_fake_clock 0.001 @@ fun () ->
+    Obs.with_span obs "t_obs.n.outer" @@ fun () ->
+    ignore (Obs.with_span obs "t_obs.n.inner" (fun () -> 1));
+    "done"
+  in
+  check_str "value returned" "done" result;
+  let mine = journal_of "t_obs.n." in
+  check "LIFO begin/end order" true
+    (List.map fst mine
+    = [ "span.begin t_obs.n.outer"; "span.begin t_obs.n.inner";
+        "span.end t_obs.n.inner"; "span.end t_obs.n.outer" ]);
+  let end_of l = List.assoc ("span.end " ^ l) mine in
+  let begin_of l = List.assoc ("span.begin " ^ l) mine in
+  check "child shorter than its parent" true
+    ((end_of "t_obs.n.inner").Recorder.e_dur_ns
+    < (end_of "t_obs.n.outer").Recorder.e_dur_ns);
+  check "end events point at their begins" true
+    (List.for_all
+       (fun l -> (end_of l).Recorder.e_a = (begin_of l).Recorder.e_seq)
+       [ "t_obs.n.outer"; "t_obs.n.inner" ]);
+  check "clean spans are not flagged" true
+    (List.for_all (fun l -> (end_of l).Recorder.e_b = 0)
+       [ "t_obs.n.outer"; "t_obs.n.inner" ])
+
+(* a raising span journals its end with the error flag, still counts
+   in op.latency_us, and does not leave the next root nested *)
+let test_span_exception_safe () =
+  Recorder.set_enabled true;
+  ignore (journal_of "");
+  let obs = Obs.create () in
+  (try Obs.with_span obs "t_obs.x.boom" (fun () -> failwith "expected")
+   with Failure _ -> ());
+  (try Obs.timed obs "t_obs.x.timed_boom" (fun () -> failwith "expected")
+   with Failure _ -> ());
+  Obs.with_span obs "t_obs.x.next" (fun () -> ());
+  let mine = journal_of "t_obs.x." in
+  check "each span closed before the next opened" true
+    (List.map fst mine
+    = [ "span.begin t_obs.x.boom"; "span.end t_obs.x.boom";
+        "span.begin t_obs.x.timed_boom"; "span.end t_obs.x.timed_boom";
+        "span.begin t_obs.x.next"; "span.end t_obs.x.next" ]);
+  let end_of l = List.assoc ("span.end " ^ l) mine in
+  let begin_of l = List.assoc ("span.begin " ^ l) mine in
+  check "error flagged on the end event" true
+    ((end_of "t_obs.x.boom").Recorder.e_b = 1
+    && (end_of "t_obs.x.timed_boom").Recorder.e_b = 1);
+  check "the next root is not flagged" true
+    ((end_of "t_obs.x.next").Recorder.e_b = 0);
+  check "end events point at their begins" true
+    (List.for_all
+       (fun l -> (end_of l).Recorder.e_a = (begin_of l).Recorder.e_seq)
+       [ "t_obs.x.boom"; "t_obs.x.timed_boom"; "t_obs.x.next" ]);
+  (match
+     Registry.find (Obs.registry obs)
+       ~labels:[ ("op", "t_obs.x.timed_boom") ]
+       "op.latency_us"
+   with
+  | Some (Metric.Histogram h) ->
+    check_int "raising span still timed" 1 (Metric.count h)
+  | _ -> Alcotest.fail "op.latency_us{op=t_obs.x.timed_boom} missing")
+
+(* spans journal to the global ring — the one span store: a plain
+   context journals every span, an errored one with the error flag,
+   and the shared noop context journals nothing *)
 let test_recorder_span_journal () =
   Recorder.set_enabled true;
-  let g = Recorder.global () in
-  let obs = Obs.create ~tracing:false () in
-  Obs.with_span obs "t_obs.journal" (fun _ -> ());
-  (try Obs.with_span obs "t_obs.journal_err" (fun _ -> failwith "expected")
+  ignore (journal_of "");
+  let obs = Obs.create () in
+  Obs.with_span obs "t_obs.j.journal" (fun () -> ());
+  (try Obs.with_span obs "t_obs.j.journal_err" (fun () -> failwith "expected")
    with Failure _ -> ());
-  let evs = Recorder.drain g in
-  let ends l =
-    List.filter
-      (fun e ->
-        e.Recorder.e_kind = Recorder.Span_end && e.Recorder.e_label = l)
-      evs
-  in
-  check_int "untraced span journaled" 1 (List.length (ends "t_obs.journal"));
-  (match ends "t_obs.journal_err" with
-   | [ e ] -> check "error flagged on the end event" true (e.Recorder.e_b = 1)
+  let mine = journal_of "t_obs.j." in
+  let ends l = List.filter (fun (k, _) -> k = "span.end " ^ l) mine in
+  check_int "plain-context span journaled" 1
+    (List.length (ends "t_obs.j.journal"));
+  (match ends "t_obs.j.journal_err" with
+   | [ (_, e) ] -> check "error flagged on the end event" true (e.Recorder.e_b = 1)
    | _ -> Alcotest.fail "errored span not journaled");
   check "noop journals nothing" true
-    (Obs.with_span Obs.noop "t_obs.noop_probe" (fun _ -> ());
-     List.for_all
-       (fun e -> e.Recorder.e_label <> "t_obs.noop_probe")
-       (Recorder.drain g))
+    (Obs.with_span Obs.noop "t_obs.noop_probe" (fun () -> ());
+     journal_of "t_obs.noop_probe" = [])
 
 (* the integration bar: driving the durable engine and the kernel puts
    span, WAL, group-commit, kernel-run, snapshot-build and
@@ -575,7 +574,7 @@ let test_recorder_engine_events () =
       let h = Mad_durable.Durable.open_dir ~seed:db dir in
       let session =
         Mad_mql.Session.create
-          ~obs:(Obs.create ~tracing:false ())
+          ~obs:(Obs.create ())
           (Mad_durable.Durable.db h)
       in
       ignore
@@ -655,8 +654,8 @@ let test_exemplars () =
     (not (contains (Registry.expose reg) "span_seq"));
   (* the timed path wires the span's recorder seq in automatically *)
   Recorder.set_enabled true;
-  let obs = Obs.create ~tracing:true () in
-  Obs.timed obs "probe" (fun _ -> ());
+  let obs = Obs.create () in
+  Obs.timed obs "probe" (fun () -> ());
   check "timed observation carries an exemplar" true
     (contains (Registry.expose (Obs.registry obs)) "# {span_seq=")
 
@@ -669,23 +668,6 @@ let test_prom_escaping () =
     (contains text "esc_full{q=\"a\\\"b\\\\c\\nd\"} 1");
   check "adjacent backslash-quote escaped" true
     (contains text "esc_g{p=\"x\\\\\\\"y\"} 1")
-
-(* MAD_OBS_SAMPLE=0.0 / =1.0 edge cases ([create ~sample] is the same
-   code path as the env knob), each with an errored root span *)
-let test_sampling_rate_edges () =
-  let obs, spans = sampled_ctx 1.0 7 in
-  run_roots obs 40;
-  check_int "rate 1 keeps everything" 40 (List.length !spans);
-  (try Obs.with_span obs "boom" (fun _ -> failwith "expected")
-   with Failure _ -> ());
-  check_int "errored root emitted exactly once" 41 (List.length !spans);
-  let obs0, spans0 = sampled_ctx 0.0 7 in
-  run_roots obs0 40;
-  (try Obs.with_span obs0 "boom" (fun _ -> failwith "expected")
-   with Failure _ -> ());
-  check_int "rate 0 keeps only the error" 1 (List.length !spans0);
-  check_str "the survivor is the errored root" "boom"
-    (List.hd !spans0).Span.name
 
 (* drain and Chrome export racing a ring that wraps under a concurrent
    writer: readers must never see a torn or malformed event, only a
@@ -733,8 +715,8 @@ let test_recorder_drain_races_wrap () =
    no new ones are issued *)
 let test_expose_exemplars_gated_on_ring () =
   Recorder.set_enabled true;
-  let obs = Obs.create ~tracing:true () in
-  Obs.timed obs "probe" (fun _ -> ());
+  let obs = Obs.create () in
+  Obs.timed obs "probe" (fun () -> ());
   let text = Registry.expose (Obs.registry obs) in
   check "ring on: exemplar rendered" true (contains text "# {span_seq=");
   Recorder.set_enabled false;
@@ -755,18 +737,10 @@ let suite =
     Alcotest.test_case "histogram stats and quantiles" `Quick
       test_histogram_stats;
     Alcotest.test_case "prometheus exposition" `Quick test_expose_golden;
-    Alcotest.test_case "sampling is deterministic" `Quick
-      test_sampling_deterministic;
-    Alcotest.test_case "sampling keeps errors and slow roots" `Quick
-      test_sampling_always_keeps_errors_and_slow;
-    Alcotest.test_case "sampling leaves metrics exact" `Quick
-      test_sampling_metrics_stay_exact;
     Alcotest.test_case "timed without tracing" `Quick
       test_timed_without_tracing;
-    Alcotest.test_case "span nesting" `Quick test_span_nesting;
-    Alcotest.test_case "span noop" `Quick test_span_noop;
-    Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;
-    Alcotest.test_case "json sink round-trip" `Quick test_json_sink_roundtrip;
+    Alcotest.test_case "errored root span dumps the ring" `Quick
+      test_error_autodump;
     Alcotest.test_case "profile estimate vs actual" `Quick
       test_profile_actuals_match_ground_truth;
     Alcotest.test_case "explain analyze via session" `Quick
@@ -781,6 +755,8 @@ let suite =
       test_expose_exemplars_gated_on_ring;
     Alcotest.test_case "recorder chrome export" `Quick
       test_recorder_chrome_export;
+    Alcotest.test_case "span nesting" `Quick test_span_nesting;
+    Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;
     Alcotest.test_case "recorder span journal" `Quick
       test_recorder_span_journal;
     Alcotest.test_case "recorder engine events" `Quick
@@ -788,5 +764,4 @@ let suite =
     Alcotest.test_case "gauge domain safety" `Quick test_gauge_domain_safe;
     Alcotest.test_case "histogram exemplars" `Quick test_exemplars;
     Alcotest.test_case "prometheus escaping" `Quick test_prom_escaping;
-    Alcotest.test_case "sampling rate edges" `Quick test_sampling_rate_edges;
   ]

@@ -7,7 +7,7 @@ open Workloads
 module Obs = Mad_obs.Obs
 module Registry = Mad_obs.Registry
 module Metric = Mad_obs.Metric
-module Span = Mad_obs.Span
+module Monotonic = Mad_obs.Monotonic
 module Probe = Mad_obs.Probe
 module Timeline = Mad_obs.Timeline
 module Recorder = Mad_obs.Recorder
@@ -21,12 +21,12 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-(* run [f] with [Span.clock] pinned to a settable instant *)
+(* run [f] with [Monotonic.clock] pinned to a settable instant *)
 let with_set_clock f =
-  let saved = !Span.clock in
+  let saved = !Monotonic.clock in
   let now = ref 0.0 in
-  Span.clock := (fun () -> !now);
-  Fun.protect ~finally:(fun () -> Span.clock := saved) (fun () -> f now)
+  Monotonic.clock := (fun () -> !now);
+  Fun.protect ~finally:(fun () -> Monotonic.clock := saved) (fun () -> f now)
 
 (* ------------------------------------------------------------------ *)
 (* Frame ring                                                           *)
@@ -372,7 +372,7 @@ let test_exports_parse () =
 let test_latency_probe_end_to_end () =
   Recorder.set_enabled true;
   let seen0 = Recorder.recorded (Recorder.global ()) in
-  let obs = Obs.create ~tracing:false () in
+  let obs = Obs.create () in
   let session = Mad_mql.Session.create ~obs (Geo_brazil.db (Geo_brazil.build ())) in
   ignore (Mad_mql.Session.enable_digest session);
   let tl = Timeline.create () in
