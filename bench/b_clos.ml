@@ -21,8 +21,8 @@ let run () =
     let s1 = MA.restrict db Mad.Qual.(attr "state" "hectare" >=% int 400) mt in
     let p1 = MA.project db [ ("state", None); ("area", None); ("edge", None) ] s1 in
     let s2 = MA.restrict db Mad.Qual.(attr "state" "hectare" >% int 900) p1 in
-    let o = MA.union db s2 (MA.restrict db Mad.Qual.False p1) in
-    let d = MA.diff db p1 o in
+    let o = MA.union s2 (MA.restrict db Mad.Qual.False p1) in
+    let d = MA.diff p1 o in
     if check then
       List.iter
         (fun mt ->

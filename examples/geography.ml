@@ -93,7 +93,7 @@ let () =
       Mad.Qual.(attr "point" "name" =% str "pn")
       mt
   in
-  let both = Mad.Molecule_algebra.intersect db big_states touching in
+  let both = Mad.Molecule_algebra.intersect big_states touching in
   Format.printf
     "Sigma[hectare>900]: %d, Sigma[touches pn]: %d, Psi(intersection): %d@."
     (Mad.Molecule_type.cardinality big_states)

@@ -6,11 +6,15 @@
     result type's registration.
 
     Theorems 2/3: every molecule-type operation yields a valid molecule
-    type over the enlarged database — checked by (a) validating the
-    propagated description with [md_graph], (b) verifying every result
-    molecule against the specification predicate [mv_graph], and (c)
-    verifying the Def. 9 bijection (re-derivation returns exactly the
-    propagated occurrence). *)
+    type over the enlarged database.  Operator results stay over their
+    operand's types, so the check builds the enlarged database itself:
+    it propagates the result set ({!Propagate.prop}, Def. 9), then
+    (a) validates the propagated description with [md_graph], (b)
+    verifies the Def. 9 bijection (re-derivation returns exactly the
+    propagated occurrence), (c) verifies every propagated molecule
+    against the specification predicate [mv_graph], and (d) re-checks
+    database integrity — and finally drops the propagated types, so
+    the database keeps the types it had. *)
 
 open Mad_store
 
@@ -55,8 +59,7 @@ let check_atom_result ?(obs = Mad_obs.Obs.noop) db (r : Atom_algebra.t) =
   in
   add rep "database integrity" (Integrity.is_valid db)
 
-(** Theorem 2/3 instance for a molecule type carrying a
-    materialization.
+(** Theorem 2/3 instance for a molecule type, propagated on demand.
 
     The Def. 9 bijection check *re-derives the whole occurrence* — by
     far the most expensive step of the closure machinery — so the
@@ -66,41 +69,35 @@ let check_molecule_type ?(obs = Mad_obs.Obs.noop) ?stats db
     (mt : Molecule_type.t) =
   Mad_obs.Obs.timed obs "closure.check_molecule_type" @@ fun () ->
   let stats = match stats with Some s -> s | None -> Derive.stats_in (Mad_obs.Obs.registry obs) in
-  match mt.materialized with
-  | None ->
-    (* α results are directly derivable; check mv_graph of each molecule *)
+  let mat =
+    Propagate.prop ~stats db ~name:(mt.name ^ ".closure") ~desc:mt.desc
+      ~attr_proj:mt.attr_proj mt.occ
+  in
+  Fun.protect ~finally:(fun () -> Propagate.cleanup db mat) @@ fun () ->
+  let rep =
+    add empty
+      (Printf.sprintf "%s: propagated description satisfies md_graph" mt.name)
+      (match
+         Mdesc.md_graph ~nodes:(Mdesc.nodes mat.mdesc)
+           ~edges:(Mdesc.edges mat.mdesc)
+       with
+       | Ok root -> String.equal root (Mdesc.root mat.mdesc)
+       | Error _ -> false)
+  in
+  let rep =
+    add rep
+      (Printf.sprintf "%s: Def. 9 bijection (re-derivation)" mt.name)
+      (Propagate.exact ~stats db mat.mdesc mat.mocc)
+  in
+  let rep =
     List.fold_left
       (fun rep (m : Molecule.t) ->
         add rep
-          (Printf.sprintf "%s: molecule rooted %s satisfies mv_graph" mt.name
-             (Aid.to_string m.root))
-          (Molecule.mv_graph db mt.desc m))
-      empty mt.occ
-  | Some mat ->
-    let rep =
-      add empty
-        (Printf.sprintf "%s: propagated description satisfies md_graph" mt.name)
-        (match
-           Mdesc.md_graph ~nodes:(Mdesc.nodes mat.mdesc)
-             ~edges:(Mdesc.edges mat.mdesc)
-         with
-         | Ok root -> String.equal root (Mdesc.root mat.mdesc)
-         | Error _ -> false)
-    in
-    let rep =
-      add rep
-        (Printf.sprintf "%s: Def. 9 bijection (re-derivation)" mt.name)
-        (Propagate.exact ~stats db mat.mdesc mat.mocc)
-    in
-    let rep =
-      List.fold_left
-        (fun rep (m : Molecule.t) ->
-          add rep
-            (Printf.sprintf "%s: propagated molecule %s satisfies mv_graph"
-               mt.name (Aid.to_string m.root))
-            (Molecule.mv_graph db mat.mdesc m))
-        rep mat.mocc
-    in
-    add rep
-      (Printf.sprintf "%s: database integrity" mt.name)
-      (Integrity.is_valid db)
+          (Printf.sprintf "%s: propagated molecule %s satisfies mv_graph"
+             mt.name (Aid.to_string m.root))
+          (Molecule.mv_graph db mat.mdesc m))
+      rep mat.mocc
+  in
+  add rep
+    (Printf.sprintf "%s: database integrity" mt.name)
+    (Integrity.is_valid db)

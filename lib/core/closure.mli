@@ -18,6 +18,8 @@ val check_molecule_type :
   Database.t ->
   Molecule_type.t ->
   report
-(** The Def. 9 bijection check re-derives the whole occurrence;
-    [stats] (default: counters in [obs]'s registry) accounts that
-    work so profiles stop under-reporting it. *)
+(** Propagates [mt]'s result set (Def. 9), checks the enlarged
+    database, then drops the propagated types again.  The Def. 9
+    bijection check re-derives the whole occurrence; [stats] (default:
+    counters in [obs]'s registry) accounts that work so profiles stop
+    under-reporting it. *)

@@ -4,10 +4,15 @@
     cartesian product X, union Ω, difference Δ, and the derived
     intersection Ψ(mt1,mt2) = Δ(mt1, Δ(mt1,mt2)).
 
-    Every operator follows the three-stage scheme of Fig. 5:
-    operation-specific actions produce a result set over the operand's
-    types; {!Propagate.prop} materializes it in the enlarged database;
-    the result is again a molecule type (closure, Theorem 3). *)
+    Fig. 5 defines every operator in three stages: operation-specific
+    actions produce a result set over the operand's types, propagation
+    (Def. 9) carries it into an enlarged database, and the result is
+    again a molecule type (closure, Theorem 3).  Σ, Π, Ω, Δ and Ψ stop
+    after the first stage: the result set, described over the operand's
+    base types, already is the molecule type, and reading it declares,
+    inserts and copies nothing.  Propagation is the closure check's
+    oracle ({!Closure.check_molecule_type}).  X is the one read that
+    enlarges the schema: its synthetic pair root needs new types. *)
 
 open Mad_store
 module Smap = Map.Make (String)
@@ -96,16 +101,13 @@ let par_filter ?par pred_of occ =
     !acc
   end
 
-let restrict ?(obs = Mad_obs.Obs.noop) ?stats ?par ?name db pred
+let restrict ?(obs = Mad_obs.Obs.noop) ?par ?name db pred
     (mt : Molecule_type.t) =
   let name = Option.value name ~default:(gen_name (mt.name ^ "_sigma")) in
   op_span obs "restrict" @@ fun () ->
   typecheck_qual db mt pred;
   let rsv = par_filter ?par (fun m -> molecule_satisfies db mt m pred) mt.occ in
-  let materialized =
-    Propagate.prop ?stats db ~name ~desc:mt.desc ~attr_proj:mt.attr_proj rsv
-  in
-  Molecule_type.v ~attr_proj:mt.attr_proj ~materialized ~name ~desc:mt.desc rsv
+  Molecule_type.v ~attr_proj:mt.attr_proj ~name ~desc:mt.desc rsv
 
 (* ------------------------------------------------------------------ *)
 (* Π — molecule-type projection                                         *)
@@ -113,7 +115,7 @@ let restrict ?(obs = Mad_obs.Obs.noop) ?stats ?par ?name db pred
 (** [keep] lists the retained nodes, each with [None] (all visible
     attributes) or [Some attrs].  The retained node set must induce a
     coherent single-rooted sub-DAG containing the root. *)
-let project ?(obs = Mad_obs.Obs.noop) ?stats ?name db keep
+let project ?(obs = Mad_obs.Obs.noop) ?name db keep
     (mt : Molecule_type.t) =
   let name = Option.value name ~default:(gen_name (mt.name ^ "_pi")) in
   op_span obs "project" @@ fun () ->
@@ -159,8 +161,7 @@ let project ?(obs = Mad_obs.Obs.noop) ?stats ?name db keep
         Molecule.v ~root:m.root ~by_node ~links)
       mt.occ
   in
-  let materialized = Propagate.prop ?stats db ~name ~desc:desc' ~attr_proj rsv in
-  Molecule_type.v ~attr_proj ~materialized ~name ~desc:desc' rsv
+  Molecule_type.v ~attr_proj ~name ~desc:desc' rsv
 
 (* ------------------------------------------------------------------ *)
 (* Ω / Δ / Ψ — union, difference, intersection                          *)
@@ -170,7 +171,7 @@ let check_compatible op (a : Molecule_type.t) (b : Molecule_type.t) =
     Err.failf "%s requires identically described molecule types (%s vs %s)" op
       a.name b.name
 
-let union ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
+let union ?(obs = Mad_obs.Obs.noop) ?name (mt1 : Molecule_type.t)
     (mt2 : Molecule_type.t) =
   let name =
     Option.value name ~default:(gen_name (mt1.name ^ "_omega"))
@@ -182,13 +183,9 @@ let union ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
       (Molecule.Set.union (Molecule_type.molecule_set mt1)
          (Molecule_type.molecule_set mt2))
   in
-  let materialized =
-    Propagate.prop ?stats db ~name ~desc:mt1.desc ~attr_proj:mt1.attr_proj rsv
-  in
-  Molecule_type.v ~attr_proj:mt1.attr_proj ~materialized ~name ~desc:mt1.desc
-    rsv
+  Molecule_type.v ~attr_proj:mt1.attr_proj ~name ~desc:mt1.desc rsv
 
-let diff ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
+let diff ?(obs = Mad_obs.Obs.noop) ?name (mt1 : Molecule_type.t)
     (mt2 : Molecule_type.t) =
   let name =
     Option.value name ~default:(gen_name (mt1.name ^ "_delta"))
@@ -200,20 +197,16 @@ let diff ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
       (Molecule.Set.diff (Molecule_type.molecule_set mt1)
          (Molecule_type.molecule_set mt2))
   in
-  let materialized =
-    Propagate.prop ?stats db ~name ~desc:mt1.desc ~attr_proj:mt1.attr_proj rsv
-  in
-  Molecule_type.v ~attr_proj:mt1.attr_proj ~materialized ~name ~desc:mt1.desc
-    rsv
+  Molecule_type.v ~attr_proj:mt1.attr_proj ~name ~desc:mt1.desc rsv
 
 (** Ψ(mt1, mt2) = Δ(mt1, Δ(mt1, mt2)) — the paper's worked example of
     operator composition under closure. *)
-let intersect ?(obs = Mad_obs.Obs.noop) ?stats ?name db mt1 mt2 =
+let intersect ?(obs = Mad_obs.Obs.noop) ?name mt1 mt2 =
   let name =
     Option.value name ~default:(gen_name (mt1.Molecule_type.name ^ "_psi"))
   in
   op_span obs "intersect" @@ fun () ->
-  diff ~obs ?stats ~name db mt1 (diff ~obs ?stats db mt1 mt2)
+  diff ~obs ~name mt1 (diff ~obs mt1 mt2)
 
 (* ------------------------------------------------------------------ *)
 (* X — molecule-type cartesian product                                  *)
@@ -223,7 +216,8 @@ let intersect ?(obs = Mad_obs.Obs.noop) ?stats ?name db mt1 mt2 =
     synthetic pair root (atom type [name.pair], one atom per pair, with
     link types to both operand roots) keeps the combined structure a
     single-rooted DAG, so the result is an ordinary molecule type over
-    the enlarged database. *)
+    the enlarged database.  It is the only read that enlarges the
+    schema; the types it declares are never dropped. *)
 let product ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
     (mt2 : Molecule_type.t) =
   let name = Option.value name ~default:(gen_name (mt1.name ^ "_x")) in

@@ -1,8 +1,10 @@
 (** The molecule algebra (Defs. 8 and 10, Theorems 2-3): definition α,
     restriction Σ, projection Π, product X, union Ω, difference Δ and
-    the derived intersection Ψ(a,b) = Δ(a, Δ(a,b)).  Every operator
-    follows Fig. 5's scheme: operation-specific actions, propagation
-    ({!Propagate.prop}), molecule-type definition. *)
+    the derived intersection Ψ(a,b) = Δ(a, Δ(a,b)).  Σ, Π, Ω, Δ and Ψ
+    return their result sets over the operand's base types and write
+    nothing; Def. 9 propagation ({!Propagate.prop}) is the closure
+    check's oracle and X's operand materialization.  X is the only
+    read that enlarges the schema. *)
 
 open Mad_store
 
@@ -11,10 +13,9 @@ val gen_name : string -> string
 
 (** Each operator takes an optional observability context [obs]
     (default: the shared no-op) and emits one span per application,
-    named [molecule_algebra.<op>], carrying the result-type name,
-    input/output molecule cardinalities and — when [stats] is given —
-    the derivation-work deltas attributable to the operator (including
-    the propagation exactness re-derivation). *)
+    named [molecule_algebra.<op>].  α and X also take [stats], which
+    accounts the derivation work they do (for X, including the
+    propagation exactness re-derivation). *)
 
 val define :
   ?obs:Mad_obs.Obs.t ->
@@ -45,7 +46,6 @@ val molecule_satisfies : Database.t -> Molecule_type.t -> Molecule.t -> Qual.t -
 
 val restrict :
   ?obs:Mad_obs.Obs.t ->
-  ?stats:Derive.stats ->
   ?par:int ->
   ?name:string ->
   Database.t ->
@@ -58,7 +58,6 @@ val restrict :
 
 val project :
   ?obs:Mad_obs.Obs.t ->
-  ?stats:Derive.stats ->
   ?name:string ->
   Database.t ->
   (string * string list option) list ->
@@ -70,9 +69,7 @@ val project :
 
 val union :
   ?obs:Mad_obs.Obs.t ->
-  ?stats:Derive.stats ->
   ?name:string ->
-  Database.t ->
   Molecule_type.t ->
   Molecule_type.t ->
   Molecule_type.t
@@ -80,9 +77,7 @@ val union :
 
 val diff :
   ?obs:Mad_obs.Obs.t ->
-  ?stats:Derive.stats ->
   ?name:string ->
-  Database.t ->
   Molecule_type.t ->
   Molecule_type.t ->
   Molecule_type.t
@@ -90,9 +85,7 @@ val diff :
 
 val intersect :
   ?obs:Mad_obs.Obs.t ->
-  ?stats:Derive.stats ->
   ?name:string ->
-  Database.t ->
   Molecule_type.t ->
   Molecule_type.t ->
   Molecule_type.t

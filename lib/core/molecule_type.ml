@@ -3,28 +3,14 @@
 
     A molecule type carries its occurrence in the coordinates of the
     database types its description mentions (the "result set" [rst] view
-    of Def. 9/10); the [materialized] field holds the outcome of
-    propagation — the renamed atom types, inherited link types and the
-    re-derived occurrence over the enlarged database — which is what
-    Theorems 2/3 quantify over.  Operators compose on the result-set
-    view and re-materialize, mirroring Fig. 5's three-stage scheme
-    (operation-specific actions, propagation, molecule-type
-    definition). *)
+    of Def. 9/10).  Operators compose on that view: a Σ/Π/Ω/Δ/Ψ result
+    points at base atoms and links and adds nothing to the database.
+    Def. 9 propagation into an enlarged database — what Theorems 2/3
+    quantify over — is {!Propagate.prop}'s job, run on demand by the
+    closure check. *)
 
 open Mad_store
 module Smap = Map.Make (String)
-
-type materialization = {
-  mdesc : Mdesc.t;  (** description over the propagated (renamed) types *)
-  node_map : string Smap.t;  (** source node -> propagated atom-type name *)
-  link_map : string Smap.t;  (** source link -> propagated link-type name *)
-  atom_map : Aid.t Aid.Map.t;  (** source atom -> propagated copy *)
-  mocc : Molecule.t list;  (** the occurrence over the propagated types *)
-  strategy : [ `Shared | `Copied ];
-      (** [`Shared]: one propagated copy per distinct source atom
-          (sharing preserved); [`Copied]: per-molecule copies (the
-          fallback that guarantees Def. 9's exactness). *)
-}
 
 type t = {
   name : string;
@@ -33,11 +19,9 @@ type t = {
       (** node -> attribute names visible after molecule projection;
           nodes absent from the map expose all attributes *)
   occ : Molecule.t list;
-  materialized : materialization option;
 }
 
-let v ?(attr_proj = Smap.empty) ?materialized ~name ~desc occ =
-  { name; desc; attr_proj; occ; materialized }
+let v ?(attr_proj = Smap.empty) ~name ~desc occ = { name; desc; attr_proj; occ }
 
 let name t = t.name
 let desc t = t.desc

@@ -1,24 +1,12 @@
 (** Molecule types (Def. 7): name, molecule-type description and
     occurrence, carried in the coordinates of the database types the
-    description mentions (the result-set view of Defs. 9-10); the
-    [materialized] field holds the propagation outcome that Theorems
-    2-3 quantify over. *)
+    description mentions (the result-set view of Defs. 9-10).  The
+    propagation that Theorems 2-3 quantify over is {!Propagate.prop},
+    run on demand by {!Closure.check_molecule_type}. *)
 
 open Mad_store
 module Smap :
   Map.S with type key = string and type 'a t = 'a Map.Make(String).t
-
-type materialization = {
-  mdesc : Mdesc.t;  (** description over the propagated types *)
-  node_map : string Smap.t;  (** source node -> propagated atom type *)
-  link_map : string Smap.t;  (** source link -> propagated link type *)
-  atom_map : Aid.t Aid.Map.t;  (** source atom -> propagated copy *)
-  mocc : Molecule.t list;  (** occurrence over the propagated types *)
-  strategy : [ `Shared | `Copied ];
-      (** [`Shared]: one copy per distinct source atom (sharing
-          preserved); [`Copied]: per-molecule copies (the unconditional
-          Def. 9 fallback) *)
-}
 
 type t = {
   name : string;
@@ -27,12 +15,10 @@ type t = {
       (** node -> attributes visible after molecule projection; absent
           nodes expose all attributes *)
   occ : Molecule.t list;
-  materialized : materialization option;
 }
 
 val v :
   ?attr_proj:string list Smap.t ->
-  ?materialized:materialization ->
   name:string ->
   desc:Mdesc.t ->
   Molecule.t list ->

@@ -18,10 +18,27 @@
     implementation therefore *checks* exactness after shared
     propagation and falls back to per-molecule copies ([`Copied]),
     which makes the bijection unconditional.  The check doubles as a
-    machine-verified instance of Theorem 2/3. *)
+    machine-verified instance of Theorem 2/3.
+
+    The molecule-algebra operators do not call this: their results stay
+    over the operand's types.  Propagation is the closure check's
+    oracle ({!Closure.check_molecule_type}, which drops what it built
+    with {!cleanup}) and the way X materializes its operands. *)
 
 open Mad_store
 module Smap = Map.Make (String)
+
+type t = {
+  mdesc : Mdesc.t;  (** description over the propagated (renamed) types *)
+  node_map : string Smap.t;  (** source node -> propagated atom-type name *)
+  link_map : string Smap.t;  (** source link -> propagated link-type name *)
+  atom_map : Aid.t Aid.Map.t;  (** propagated copy -> its source atom *)
+  mocc : Molecule.t list;  (** the occurrence over the propagated types *)
+  strategy : [ `Shared | `Copied ];
+      (** [`Shared]: one propagated copy per distinct source atom
+          (sharing preserved); [`Copied]: per-molecule copies (the
+          fallback that guarantees Def. 9's exactness). *)
+}
 
 let fresh_name db base =
   let rec go k =
@@ -139,7 +156,7 @@ let remap_molecule ~node_map ~link_map ~atom_of desc (m : Molecule.t) =
 let propagate_shared db ~name ~desc ~attr_proj occ =
   let atoms_by_node, links = footprint desc occ in
   let node_map, link_map, mdesc = create_types db ~name ~desc ~attr_proj in
-  let atom_map = ref Aid.Map.empty in
+  let copy_of = ref Aid.Map.empty in
   Smap.iter
     (fun node s ->
       let tname = Smap.find node node_map in
@@ -148,10 +165,10 @@ let propagate_shared db ~name ~desc ~attr_proj occ =
           let a = Database.get_atom db ~atype:node id in
           let values = project_values db attr_proj node a in
           let copy = Database.insert_atom db ~atype:tname values in
-          atom_map := Aid.Map.add id copy.id !atom_map)
+          copy_of := Aid.Map.add id copy.id !copy_of)
         s)
     atoms_by_node;
-  let atom_of _node id = Aid.Map.find id !atom_map in
+  let atom_of _node id = Aid.Map.find id !copy_of in
   Link.Set.iter
     (fun (l : Link.t) ->
       match
@@ -168,12 +185,16 @@ let propagate_shared db ~name ~desc ~attr_proj occ =
           ~left:(atom_of e.from_at p) ~right:(atom_of e.to_at c))
     links;
   let mocc = List.map (remap_molecule ~node_map ~link_map ~atom_of desc) occ in
-  (node_map, link_map, !atom_map, mdesc, mocc)
+  let atom_map =
+    Aid.Map.fold (fun src copy m -> Aid.Map.add copy src m) !copy_of
+      Aid.Map.empty
+  in
+  { mdesc; node_map; link_map; atom_map; mocc; strategy = `Shared }
 
 (* Per-molecule copies: unconditional exactness. *)
 let propagate_copied db ~name ~desc ~attr_proj occ =
   let node_map, link_map, mdesc = create_types db ~name ~desc ~attr_proj in
-  let global_map = ref Aid.Map.empty in
+  let atom_map = ref Aid.Map.empty in
   let mocc =
     List.map
       (fun (m : Molecule.t) ->
@@ -188,7 +209,7 @@ let propagate_copied db ~name ~desc ~attr_proj occ =
               Database.insert_atom db ~atype:(Smap.find node node_map) values
             in
             Hashtbl.replace local (node, id) copy.id;
-            global_map := Aid.Map.add id copy.id !global_map;
+            atom_map := Aid.Map.add copy.id id !atom_map;
             copy.id
         in
         let m' = remap_molecule ~node_map ~link_map ~atom_of desc m in
@@ -198,7 +219,7 @@ let propagate_copied db ~name ~desc ~attr_proj occ =
         m')
       occ
   in
-  (node_map, link_map, !global_map, mdesc, mocc)
+  { mdesc; node_map; link_map; atom_map = !atom_map; mocc; strategy = `Copied }
 
 (** Does re-derivation over the propagated types return exactly the
     propagated occurrence (Def. 9's bijection)? *)
@@ -206,44 +227,30 @@ let exact ?stats db mdesc mocc =
   let derived = Derive.m_dom ?stats db mdesc in
   Molecule.Set.equal (Molecule.Set.of_list derived) (Molecule.Set.of_list mocc)
 
-let cleanup db node_map link_map =
-  Smap.iter (fun _ l -> Database.drop_link_type db l) link_map;
-  Smap.iter (fun _ t -> Database.drop_atom_type db t) node_map
+let cleanup db p =
+  Database.unjournaled db @@ fun () ->
+  Smap.iter (fun _ l -> Database.drop_link_type db l) p.link_map;
+  Smap.iter (fun _ t -> Database.drop_atom_type db t) p.node_map
 
 (** The propagation function of Def. 9.  [strategy] defaults to
     [`Auto]: try shared propagation, verify exactness, fall back to
     per-molecule copies if the bijection fails.
 
     Everything materialized here is the {e enlarged database} — scratch
-    result types a query rebuilds on demand — so the whole propagation
-    runs with the journal detached: derived types never reach a
-    write-ahead log. *)
+    types the closure check and X build on demand — so the whole
+    propagation runs with the journal detached: derived types never
+    reach a write-ahead log. *)
 let prop ?stats ?(strategy = `Auto) db ~name ~desc ~attr_proj occ =
   Database.unjournaled db @@ fun () ->
   let shared () = propagate_shared db ~name ~desc ~attr_proj occ in
   let copied () = propagate_copied db ~name ~desc ~attr_proj occ in
-  let node_map, link_map, atom_map, mdesc, mocc, used =
-    match strategy with
-    | `Shared ->
-      let n, l, a, d, o = shared () in
-      (n, l, a, d, o, `Shared)
-    | `Copied ->
-      let n, l, a, d, o = copied () in
-      (n, l, a, d, o, `Copied)
-    | `Auto ->
-      let n, l, a, d, o = shared () in
-      if exact ?stats db d o then (n, l, a, d, o, `Shared)
-      else begin
-        cleanup db n l;
-        let n, l, a, d, o = copied () in
-        (n, l, a, d, o, `Copied)
-      end
-  in
-  {
-    Molecule_type.mdesc;
-    node_map;
-    link_map;
-    atom_map;
-    mocc;
-    strategy = used;
-  }
+  match strategy with
+  | `Shared -> shared ()
+  | `Copied -> copied ()
+  | `Auto ->
+    let p = shared () in
+    if exact ?stats db p.mdesc p.mocc then p
+    else begin
+      cleanup db p;
+      copied ()
+    end

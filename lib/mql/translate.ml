@@ -162,20 +162,20 @@ let rec run ?(obs = Mad_obs.Obs.noop) ?stats db env plan : result =
     | None -> Err.failf "unknown molecule type %s" name
   end
   | P_restrict (q, p) ->
-    Molecules (Mad.Molecule_algebra.restrict ~obs ?stats db q (molecule p))
+    Molecules (Mad.Molecule_algebra.restrict ~obs db q (molecule p))
   | P_project (items, p) ->
-    Molecules (Mad.Molecule_algebra.project ~obs ?stats db items (molecule p))
+    Molecules (Mad.Molecule_algebra.project ~obs db items (molecule p))
   | P_union (a, b) ->
     setop a b
-      ~mol:(fun x y -> Mad.Molecule_algebra.union ~obs ?stats db x y)
+      ~mol:(fun x y -> Mad.Molecule_algebra.union ~obs x y)
       ~rec_:(fun x y -> R.union ~name:(fresh_query_name ()) x y)
   | P_diff (a, b) ->
     setop a b
-      ~mol:(fun x y -> Mad.Molecule_algebra.diff ~obs ?stats db x y)
+      ~mol:(fun x y -> Mad.Molecule_algebra.diff ~obs x y)
       ~rec_:(fun x y -> R.diff ~name:(fresh_query_name ()) x y)
   | P_intersect (a, b) ->
     setop a b
-      ~mol:(fun x y -> Mad.Molecule_algebra.intersect ~obs ?stats db x y)
+      ~mol:(fun x y -> Mad.Molecule_algebra.intersect ~obs x y)
       ~rec_:(fun x y -> R.intersect ~name:(fresh_query_name ()) x y)
   | P_product (a, b) ->
     Molecules

@@ -23,8 +23,8 @@ let satisfies db desc m pred =
   let mt = Mad.Molecule_type.v ~name:"tmp" ~desc [] in
   Mad.Molecule_algebra.molecule_satisfies db mt m pred
 
-let run ?(obs = Obs.noop) ?stats ?catalog ?(optimize = true)
-    ?(materialize = false) db (q : Planner.query) =
+let run ?(obs = Obs.noop) ?stats ?catalog ?(optimize = true) db
+    (q : Planner.query) =
   Obs.timed obs "prima.execute" @@ fun () ->
   let stats =
     match stats with
@@ -81,33 +81,7 @@ let run ?(obs = Obs.noop) ?stats ?catalog ?(optimize = true)
           (fun (n, _) -> List.mem n (Mad.Mdesc.nodes plan.Planner.derive_desc))
           items
       in
-      if materialize then Mad.Molecule_algebra.project ~obs ~stats db keep mt
-      else begin
-        (* pipelined projection without propagation: restrict the
-           molecules' visible structure *)
-        let desc' = Mad.Mdesc.induced plan.Planner.derive_desc (List.map fst keep) in
-        let kept_edges = Mad.Mdesc.edges desc' in
-        let occ =
-          List.map
-            (fun (m : Mad.Molecule.t) ->
-              let by_node =
-                Mad.Molecule.Smap.filter
-                  (fun node _ -> List.exists (fun (n, _) -> String.equal n node) keep)
-                  m.Mad.Molecule.by_node
-              in
-              let links =
-                Link.Set.filter
-                  (fun (l : Link.t) ->
-                    List.exists
-                      (fun (e : Mad.Mdesc.edge) -> String.equal e.link l.lt)
-                      kept_edges)
-                  m.Mad.Molecule.links
-              in
-              Mad.Molecule.v ~root:m.Mad.Molecule.root ~by_node ~links)
-            filtered
-        in
-        Mad.Molecule_type.v ~name:q.Planner.name ~desc:desc' occ
-      end
+      Mad.Molecule_algebra.project ~obs ~name:q.Planner.name db keep mt
   in
   { mt; counters = iface.Atom_interface.c; plan; stats }
 

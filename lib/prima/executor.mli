@@ -1,5 +1,5 @@
 (** PRIMA's executor: run a {!Planner} plan against the atom-oriented
-    interface, with pipelined (non-materializing) projection. *)
+    interface; projection is the algebra's Π, which writes nothing. *)
 
 open Mad_store
 
@@ -15,14 +15,11 @@ val run :
   ?stats:Mad.Derive.stats ->
   ?catalog:Stats.t ->
   ?optimize:bool ->
-  ?materialize:bool ->
   Database.t ->
   Planner.query ->
   outcome
-(** [materialize] routes the projection through the algebra's Π
-    (propagation) instead of the pipelined restriction.  Under [obs]
-    every plan stage (plan, scan, derive, filter, project) runs in its
-    own span beneath one [prima.execute] root; [stats] (default:
+(** Under [obs] every plan stage (plan, scan, derive, filter, project)
+    runs in its own span beneath one [prima.execute] root; [stats] (default:
     counters in [obs]'s registry, giving per-node actuals for
     [EXPLAIN ANALYZE]) accounts the derivation work.  [catalog] adds
     the statistics-driven pass ({!Stats.replan}) on top of the

@@ -1,9 +1,9 @@
 (** The database: a set of atom types plus a set of link types (Def. 3),
     whose occurrences form the atom networks.
 
-    The store is mutable (operations of both algebras *enlarge* the
-    database, cf. Def. 9 and Theorem 1) and maintains, per link type, a
-    bidirectional adjacency index.  That index is the operational
+    The store is mutable (atom-type operations, molecule products and
+    Def. 9 propagation *enlarge* the database, cf. Theorem 1) and
+    maintains, per link type, a bidirectional adjacency index.  That index is the operational
     realisation of the paper's symmetric link concept: traversing a link
     type from either end costs the same, which is what makes the same
     atom networks usable for totally different molecule types (Fig. 2). *)

@@ -1,10 +1,10 @@
 (** The database: a set of atom types plus a set of link types whose
     occurrences form the atom networks (Def. 3).
 
-    Mutable — operations of both algebras {e enlarge} the database
-    (Def. 9, Theorem 1) — and indexed: every link type maintains a
-    bidirectional adjacency index, the operational realisation of the
-    paper's symmetric link concept.
+    Mutable — atom-type operations, molecule products and Def. 9
+    propagation {e enlarge} the database (Theorem 1) — and indexed:
+    every link type maintains a bidirectional adjacency index, the
+    operational realisation of the paper's symmetric link concept.
 
     The representation is exposed (the failure-injection tests corrupt
     it deliberately); normal clients use the functions only. *)

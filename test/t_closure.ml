@@ -1,6 +1,7 @@
 (* Closure corner cases: the Def. 9 exactness check and its
    per-molecule-copies fallback, operator chains over enlarged
-   databases, and closure after X. *)
+   databases, closure after X, and reads that leave the schema and
+   epoch alone. *)
 
 open Mad_store
 module MA = Mad.Molecule_algebra
@@ -8,6 +9,11 @@ module MT = Mad.Molecule_type
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+(* Def. 9 on demand: operator results stay over the operand's types *)
+let propagate db (mt : MT.t) : Mad.Propagate.t =
+  Mad.Propagate.prop db ~name:mt.MT.name ~desc:mt.MT.desc
+    ~attr_proj:mt.MT.attr_proj mt.MT.occ
 
 (* The diamond that breaks shared propagation of a projection:
      r -> x, r -> y, x -> z, y -> z
@@ -58,12 +64,11 @@ let test_projection_triggers_copy_fallback () =
   check "m1 lacks z2" false (Aid.Set.mem z2 (Mad.Molecule.component m1 "z"));
   (* project away x: the diamond constraint disappears *)
   let proj = MA.project db [ ("r", None); ("y", None); ("z", None) ] mt in
-  (match proj.MT.materialized with
-   | None -> Alcotest.fail "projection must propagate"
-   | Some m ->
-     check "fallback to per-molecule copies" true (m.MT.strategy = `Copied);
-     check "still exact (Def. 9)" true
-       (Mad.Propagate.exact db m.MT.mdesc m.MT.mocc));
+  let m = propagate db proj in
+  check "fallback to per-molecule copies" true
+    (m.strategy = `Copied);
+  check "still exact (Def. 9)" true
+    (Mad.Propagate.exact db m.mdesc m.mocc);
   (* the projected occurrence itself is unchanged in content *)
   check_int "still two molecules" 2 (MT.cardinality proj);
   let p1 =
@@ -80,9 +85,8 @@ let test_sigma_stays_shared_on_diamond () =
   let db, _, _, _, _ = diamond_db () in
   let mt = MA.define db ~name:"dia2" (desc_of db) in
   let s = MA.restrict db Mad.Qual.(attr "r" "v" =% int 1) mt in
-  match s.MT.materialized with
-  | Some m -> check "shared suffices for Sigma" true (m.MT.strategy = `Shared)
-  | None -> Alcotest.fail "expected materialization"
+  check "shared suffices for Sigma" true
+    ((propagate db s).strategy = `Shared)
 
 let test_product_result_is_derivable () =
   (* X output is an ordinary molecule type: define over the enlarged
@@ -96,22 +100,63 @@ let test_product_result_is_derivable () =
     (Mad.Molecule.Set.equal (MT.molecule_set x) (MT.molecule_set re))
 
 let test_operator_chain_over_propagated_types () =
-  (* keep operating on materialized results: Σ over the propagated type
+  (* keep operating on propagated results: Σ over the propagated type
      of a previous Σ, three levels deep *)
   let b = Workloads.Geo_brazil.build () in
   let db = Workloads.Geo_brazil.db b in
   let mt = MA.define db ~name:"c0" (Workloads.Geo_brazil.mt_state_desc b) in
   let s1 = MA.restrict db Mad.Qual.(attr "state" "hectare" >=% int 400) mt in
-  let m1 = Option.get s1.MT.materialized in
-  let mt1 = MA.define db ~name:"c1" m1.MT.mdesc in
+  let m1 = propagate db s1 in
+  let mt1 = MA.define db ~name:"c1" m1.mdesc in
   check_int "as many molecules as s1" (MT.cardinality s1) (MT.cardinality mt1);
   (* the propagated root type name differs; restrict on it *)
-  let root1 = Mad.Mdesc.root m1.MT.mdesc in
+  let root1 = Mad.Mdesc.root m1.mdesc in
   let s2 = MA.restrict db Mad.Qual.(attr root1 "hectare" >=% int 900) mt1 in
-  let m2 = Option.get s2.MT.materialized in
-  let mt2 = MA.define db ~name:"c2" m2.MT.mdesc in
+  let m2 = propagate db s2 in
+  let mt2 = MA.define db ~name:"c2" m2.mdesc in
   check_int "four states at >=900" 4 (MT.cardinality mt2);
   check "integrity after three levels" true (Integrity.is_valid db)
+
+(* Σ Π Ω Δ Ψ return result sets over the operand's types: no epoch
+   move, no new atom or link type.  X is the documented exception (its
+   pair root needs fresh types). *)
+let test_reads_do_not_write () =
+  let schema db =
+    ( Database.epoch db,
+      Database.atom_type_names db,
+      Database.link_type_names db )
+  in
+  let reads db mt pred =
+    let s = MA.restrict db pred mt in
+    let root = Mad.Mdesc.root mt.MT.desc in
+    ignore (MA.project db [ (root, None) ] mt);
+    ignore (MA.union s mt);
+    ignore (MA.diff mt s);
+    ignore (MA.intersect mt s)
+  in
+  let b = Workloads.Geo_brazil.build () in
+  let brazil = Workloads.Geo_brazil.db b in
+  let dia, _, _, _, _ = diamond_db () in
+  List.iter
+    (fun (label, db, mt, pred) ->
+      let ((epoch, atypes, _) as before) = schema db in
+      reads db mt pred;
+      check (label ^ ": Sigma Pi Omega Delta Psi write nothing") true
+        (schema db = before);
+      ignore (MA.product db mt mt);
+      let epoch', atypes', _ = schema db in
+      check (label ^ ": X enlarges the schema") true
+        (epoch' > epoch && List.length atypes' > List.length atypes))
+    [
+      ( "brazil",
+        brazil,
+        MA.define brazil ~name:"rw" (Workloads.Geo_brazil.mt_state_desc b),
+        Mad.Qual.(attr "state" "hectare" >% int 900) );
+      ( "diamond",
+        dia,
+        MA.define dia ~name:"rw_dia" (desc_of dia),
+        Mad.Qual.(attr "r" "v" =% int 1) );
+    ]
 
 let test_atom_op_chain_closure () =
   (* Theorem 1 chains: op results feed further ops indefinitely *)
@@ -147,6 +192,8 @@ let suite =
       test_product_result_is_derivable;
     Alcotest.test_case "operator chain over propagated types" `Quick
       test_operator_chain_over_propagated_types;
+    Alcotest.test_case "reads do not write (X excepted)" `Quick
+      test_reads_do_not_write;
     Alcotest.test_case "atom-op chain closure (Thm 1)" `Quick
       test_atom_op_chain_closure;
   ]

@@ -317,12 +317,24 @@ let test_recovery_errors_name_files () =
 
 (* --- queries never journal ------------------------------------------- *)
 
-(* Query evaluation enlarges the database with derived result types
-   (Propagate.prop, the atom algebra, molecule products).  All of that
-   is scratch state rebuilt on demand — none of it may reach the WAL. *)
+(* Queries write nothing durable: Σ and Π results stay over the base
+   types, and the scratch types the atom algebra and molecule products
+   declare are unjournaled — none of it may reach the WAL, and a
+   restriction must not leave types for the snapshot to write. *)
 let test_queries_do_not_journal () =
   in_tmp "query-nolog" @@ fun dir ->
   let h = Durable.open_or_seed ~seed:Harness.seed_db dir in
+  let snapshot_types () =
+    Durable.snapshot h;
+    In_channel.with_open_text
+      (Filename.concat dir Durable.snapshot_basename)
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l ->
+           String.starts_with ~prefix:"atomtype " l
+           || String.starts_with ~prefix:"linktype " l)
+  in
+  let types_before = snapshot_types () in
   let before = Durable.wal_records h in
   let session = Mad_mql.Session.create (Durable.db h) in
   ignore
@@ -332,6 +344,8 @@ let test_queries_do_not_journal () =
     (Mad_mql.Session.run_to_string session
        "SELECT ALL FROM box-part WHERE part.weight >= 2;");
   check_int "queries journaled nothing" before (Durable.wal_records h);
+  Alcotest.(check (list string))
+    "snapshot writes the same types" types_before (snapshot_types ());
   (* DML through the same session still journals *)
   ignore
     (Mad_mql.Session.run_to_string session "INSERT INTO box VALUES ('s', 1);");

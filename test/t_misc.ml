@@ -1,5 +1,5 @@
 (* Odds and ends: value/domain edges, forced propagation strategies,
-   executor materialization, session rendering. *)
+   executor projection, session rendering. *)
 
 open Mad_store
 open Workloads
@@ -39,40 +39,48 @@ let test_forced_prop_strategies () =
     Mad.Propagate.prop ~strategy:`Copied db ~name:"fc" ~desc
       ~attr_proj:MT.Smap.empty occ
   in
-  check "shared exact" true
-    (Mad.Propagate.exact db shared.MT.mdesc shared.MT.mocc);
-  check "copied exact" true
-    (Mad.Propagate.exact db copied.MT.mdesc copied.MT.mocc);
+  let exact (m : Mad.Propagate.t) = Mad.Propagate.exact db m.mdesc m.mocc in
+  check "shared exact" true (exact shared);
+  check "copied exact" true (exact copied);
   (* copied materializes strictly more atoms than shared (shared borders) *)
-  let atoms_of (m : MT.materialization) =
+  let atoms_of (m : Mad.Propagate.t) =
     MT.Smap.fold
       (fun _ tname acc -> acc + Database.count_atoms db tname)
-      m.MT.node_map 0
+      m.node_map 0
   in
   check "copied > shared" true (atoms_of copied > atoms_of shared);
   check "db still valid" true (Integrity.is_valid db)
 
-let test_executor_materialize_option () =
+(* The executor's projection is the algebra's Π: unselected attributes
+   are hidden and no type is declared. *)
+let test_executor_projection () =
   let b = Geo_brazil.build () in
   let db = Geo_brazil.db b in
-  let q =
+  let q select =
     {
       Prima.Planner.name = "q";
       desc = Geo_brazil.mt_state_desc b;
       where = Some Mad.Qual.(attr "state" "hectare" >% int 900);
-      select = Some [ ("state", None); ("area", None) ];
+      select;
     }
   in
-  let pipelined = Prima.Executor.run ~materialize:false db q in
-  let materialized = Prima.Executor.run ~materialize:true db q in
-  check_int "same cardinality"
-    (MT.cardinality pipelined.Prima.Executor.mt)
-    (MT.cardinality materialized.Prima.Executor.mt);
-  (* materialized result carries a propagation, pipelined does not *)
-  check "materialized has prop" true
-    (materialized.Prima.Executor.mt.MT.materialized <> None);
-  check "pipelined has none" true
-    (pipelined.Prima.Executor.mt.MT.materialized = None)
+  let types () = (Database.atom_type_names db, Database.link_type_names db) in
+  let before = types () in
+  let all = (Prima.Executor.run db (q None)).Prima.Executor.mt in
+  let projected =
+    (Prima.Executor.run db
+       (q (Some [ ("state", Some [ "name" ]); ("area", None) ])))
+      .Prima.Executor.mt
+  in
+  check_int "same cardinality" (MT.cardinality all) (MT.cardinality projected);
+  Alcotest.(check (list string))
+    "state shows name only" [ "name" ]
+    (MT.visible_attrs db projected "state");
+  Alcotest.(check (list string))
+    "area keeps every attribute"
+    (MT.visible_attrs db all "area")
+    (MT.visible_attrs db projected "area");
+  check "no type declared" true (types () = before)
 
 let test_session_rendering () =
   let b = Geo_brazil.build () in
@@ -137,8 +145,8 @@ let suite =
     Alcotest.test_case "value/domain edges" `Quick test_value_edges;
     Alcotest.test_case "forced prop strategies" `Quick
       test_forced_prop_strategies;
-    Alcotest.test_case "executor materialize option" `Quick
-      test_executor_materialize_option;
+    Alcotest.test_case "executor projection is Pi" `Quick
+      test_executor_projection;
     Alcotest.test_case "session rendering" `Quick test_session_rendering;
     Alcotest.test_case "atom pp_named" `Quick test_atom_pp_named;
     Alcotest.test_case "link-type helpers" `Quick test_link_type_helpers;

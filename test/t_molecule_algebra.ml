@@ -15,6 +15,11 @@ let brazil () =
 
 let mt_state b db = MA.define db ~name:"mt_state" (Geo_brazil.mt_state_desc b)
 
+(* Def. 9 on demand: operator results stay over the operand's types *)
+let propagate db (mt : MT.t) : Mad.Propagate.t =
+  Mad.Propagate.prop db ~name:mt.MT.name ~desc:mt.MT.desc
+    ~attr_proj:mt.MT.attr_proj mt.MT.occ
+
 let closure_ok db mt =
   let report = Mad.Closure.check_molecule_type db mt in
   if not (Mad.Closure.ok report) then
@@ -38,9 +43,8 @@ let test_restrict_sigma () =
   (* hectare > 900: BA=1000, SP=2000, RS=1500 *)
   check_int "three big states" 3 (MT.cardinality big);
   check "closure" true (closure_ok db big);
-  (match big.MT.materialized with
-   | Some m -> check "shared propagation suffices" true (m.MT.strategy = `Shared)
-   | None -> Alcotest.fail "Σ must propagate");
+  check "shared propagation suffices" true
+    ((propagate db big).strategy = `Shared);
   (* restriction referencing a non-root node: states bordered by the
      Parana's net — via implicit existential semantics over point *)
   let sigma_pn =
@@ -95,18 +99,18 @@ let test_union_diff_intersect () =
   let touches =
     MA.restrict db Mad.Qual.(attr "point" "name" =% str "pn") mt
   in
-  let u = MA.union db big touches in
+  let u = MA.union big touches in
   (* big: BA SP RS; touches: GO MG MS SP; SP common *)
   check_int "union" 6 (MT.cardinality u);
   check "closure union" true (closure_ok db u);
-  let d = MA.diff db big touches in
+  let d = MA.diff big touches in
   check_int "difference" 2 (MT.cardinality d);
   check "closure diff" true (closure_ok db d);
-  let i = MA.intersect db big touches in
+  let i = MA.intersect big touches in
   check_int "intersection" 1 (MT.cardinality i);
   check "closure intersect" true (closure_ok db i);
   (* Ψ = Δ(mt1, Δ(mt1, mt2)) is exactly the intersection *)
-  let i' = MA.diff db big (MA.diff db big touches) in
+  let i' = MA.diff big (MA.diff big touches) in
   check "psi = delta twice" true
     (Mad.Molecule.Set.equal (MT.molecule_set i) (MT.molecule_set i'))
 
@@ -114,7 +118,7 @@ let test_union_incompatible () =
   let b, db = brazil () in
   let mt = mt_state b db in
   let pn = MA.define db ~name:"pn_mt" (Geo_brazil.point_neighborhood_desc b) in
-  match MA.union db mt pn with
+  match MA.union mt pn with
   | _ -> Alcotest.fail "union of different structures must fail"
   | exception Err.Mad_error _ -> ()
 
@@ -151,13 +155,11 @@ let test_propagated_types_are_queryable () =
   let b, db = brazil () in
   let mt = mt_state b db in
   let big = MA.restrict ~name:"bigp" db Mad.Qual.(attr "state" "hectare" >% int 900) mt in
-  match big.MT.materialized with
-  | None -> Alcotest.fail "expected materialization"
-  | Some m ->
-    let re = MA.define db ~name:"re_derived" m.MT.mdesc in
-    check "re-derivation equals propagated occurrence" true
-      (Mad.Molecule.Set.equal (MT.molecule_set re)
-         (Mad.Molecule.Set.of_list m.MT.mocc))
+  let m = propagate db big in
+  let re = MA.define db ~name:"re_derived" m.mdesc in
+  check "re-derivation equals propagated occurrence" true
+    (Mad.Molecule.Set.equal (MT.molecule_set re)
+       (Mad.Molecule.Set.of_list m.mocc))
 
 let suite =
   [

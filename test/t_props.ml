@@ -155,17 +155,17 @@ let prop_union_laws =
     (Q.pair pred pred) (fun (p, q) ->
       let db, mt = fresh_brazil () in
       let a = MA.restrict db p mt and b = MA.restrict db q mt in
-      let u1 = MA.union db a b and u2 = MA.union db b a in
+      let u1 = MA.union a b and u2 = MA.union b a in
       Mad.Molecule.Set.equal (mset u1) (mset u2)
-      && Mad.Molecule.Set.equal (mset (MA.union db a a)) (mset a)
-      && MT.cardinality (MA.diff db a a) = 0)
+      && Mad.Molecule.Set.equal (mset (MA.union a a)) (mset a)
+      && MT.cardinality (MA.diff a a) = 0)
 
 let prop_psi_is_intersection =
   Q.Test.make ~count:30 ~name:"Psi = set intersection, symmetric"
     (Q.pair pred pred) (fun (p, q) ->
       let db, mt = fresh_brazil () in
       let a = MA.restrict db p mt and b = MA.restrict db q mt in
-      let i1 = MA.intersect db a b and i2 = MA.intersect db b a in
+      let i1 = MA.intersect a b and i2 = MA.intersect b a in
       Mad.Molecule.Set.equal (mset i1) (mset i2)
       && Mad.Molecule.Set.equal (mset i1)
            (Mad.Molecule.Set.inter (mset a) (mset b)))
@@ -175,8 +175,39 @@ let prop_demorgan =
     (fun p ->
       let db, mt = fresh_brazil () in
       let not_p = MA.restrict db (Mad.Qual.Not p) mt in
-      let complement = MA.diff db mt (MA.restrict db p mt) in
+      let complement = MA.diff mt (MA.restrict db p mt) in
       Mad.Molecule.Set.equal (mset not_p) (mset complement))
+
+(* A propagated molecule read back over the source types through the
+   propagation's maps: Def. 9's bijection, right to left. *)
+let unpropagate desc (p : Mad.Propagate.t) (m : Mad.Molecule.t) =
+  let source id = Aid.Map.find id p.atom_map in
+  let node_of =
+    MT.Smap.fold (fun src t acc -> MT.Smap.add t src acc) p.node_map
+      MT.Smap.empty
+  in
+  let by_node =
+    MT.Smap.fold
+      (fun t atoms acc ->
+        MT.Smap.add (MT.Smap.find t node_of) (Aid.Set.map source atoms) acc)
+      m.by_node MT.Smap.empty
+  in
+  let links =
+    Link.Set.map
+      (fun (l : Link.t) ->
+        let e =
+          List.find
+            (fun (e : Mad.Mdesc.edge) ->
+              String.equal (MT.Smap.find e.link p.link_map) l.lt)
+            (Mad.Mdesc.edges desc)
+        in
+        let parent = source l.left and child = source l.right in
+        match e.dir with
+        | `Fwd -> Link.v e.link parent child
+        | `Bwd -> Link.v e.link child parent)
+      m.links
+  in
+  Mad.Molecule.v ~root:(source m.root) ~by_node ~links
 
 let prop_closure_random_pipeline =
   Q.Test.make ~count:15 ~name:"random pipelines stay closed (Thm. 3)"
@@ -184,9 +215,23 @@ let prop_closure_random_pipeline =
       let db, mt = fresh_brazil () in
       let s = MA.restrict db p mt in
       let pr = MA.project db [ ("state", None); ("area", None) ] s in
-      let u = MA.union db pr (MA.project db [ ("state", None); ("area", None) ] (MA.restrict db q mt)) in
+      let u = MA.union pr (MA.project db [ ("state", None); ("area", None) ] (MA.restrict db q mt)) in
+      let types () =
+        (Database.atom_type_names db, Database.link_type_names db)
+      in
       List.for_all
-        (fun t -> Mad.Closure.ok (Mad.Closure.check_molecule_type db t))
+        (fun (t : MT.t) ->
+          let before = types () in
+          Mad.Closure.ok (Mad.Closure.check_molecule_type db t)
+          && before = types ()
+          &&
+          let mat =
+            Mad.Propagate.prop db ~name:t.name ~desc:t.desc
+              ~attr_proj:t.attr_proj t.occ
+          in
+          let back = List.map (unpropagate t.desc mat) mat.mocc in
+          Mad.Propagate.cleanup db mat;
+          List.equal Mad.Molecule.equal back t.occ)
         [ s; pr; u ]
       && Integrity.is_valid db)
 
