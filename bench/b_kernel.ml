@@ -1,7 +1,7 @@
 (* KERNEL — the derivation kernel against the scalar walk: CSR
    snapshot construction cost, bitset m_dom on hierarchical and
-   reflexive workloads, and the domain-pool scaling of m_dom and the
-   Σ restriction at MAD_PAR 1 vs 4.
+   reflexive workloads, and the Σ restriction over the kernel's grid
+   occurrence.
 
    The steady-state rows time derivation with a warm snapshot (the
    common case: many derivations per mutation); the snapshot row
@@ -10,15 +10,8 @@
 module Table = Mad_store.Table
 open Workloads
 
-let par_note () =
-  Format.printf
-    "host exposes %d core(s); par=4 rows only beat par=1 on multicore \
-     hosts (the pool caps at the recommended domain count)@."
-    (Domain.recommended_domain_count ())
-
 let run () =
-  Bench_util.section "KERNEL - CSR snapshots, bitset joins, domain pool";
-  par_note ();
+  Bench_util.section "KERNEL - CSR snapshots, bitset joins";
 
   (* -- reflexive closure: BOM part explosion, scalar vs kernel -- *)
   Bench_util.subsection "BOM part explosion (reflexive composition link)";
@@ -55,7 +48,7 @@ let run () =
     (Mad_store.Database.total_atoms db)
     (Mad_store.Database.total_links db);
 
-  (* -- hierarchical m_dom: geo grid, scalar vs kernel par 1 vs 4 -- *)
+  (* -- hierarchical m_dom: geo grid, scalar vs kernel -- *)
   Bench_util.subsection "geo-grid m_dom (hierarchical, diamond-shaped)";
   let side = 24 in
   let g =
@@ -69,10 +62,8 @@ let run () =
     [
       ( "scalar walk", "kernel/grid-mdom-scalar",
         fun () -> Mad.Derive.m_dom_scalar gdb desc );
-      ( "kernel par=1", "kernel/grid-mdom-par1",
-        fun () -> Mad.Derive.m_dom ~kernel:true ~par:1 gdb desc );
-      ( "kernel par=4", "kernel/grid-mdom-par4",
-        fun () -> Mad.Derive.m_dom ~kernel:true ~par:4 gdb desc );
+      ( "bitset kernel (warm snapshot)", "kernel/grid-mdom-kernel",
+        fun () -> Mad.Derive.m_dom ~kernel:true gdb desc );
     ]
   in
   let t = Table.create [ "path"; "cost"; "speedup" ] in
@@ -86,28 +77,18 @@ let run () =
     rows;
   Table.print t;
 
-  (* -- Σ restriction: per-molecule qualification across the pool -- *)
+  (* -- Σ restriction: per-molecule qualification over the occurrence -- *)
   Bench_util.subsection "sigma restriction over the grid occurrence";
   let mt = Mad.Molecule_algebra.define gdb ~name:"bench_mt" desc in
   let pred = Mad.Qual.(attr "state" "hectare" >=% int 400) in
-  let t = Table.create [ "path"; "cost"; "speedup" ] in
-  let base = ref nan in
-  List.iter
-    (fun (label, id, par) ->
-      let ns =
-        Bench_util.time_ns id (fun () ->
-            Mad.Molecule_algebra.restrict ~par
-              ~name:(Mad.Molecule_algebra.gen_name "b")
-              gdb pred mt)
-      in
-      if Float.is_nan !base then base := ns;
-      Table.add_row t
-        [ label; Bench_util.pp_ns ns; Bench_util.ratio !base ns ])
-    [
-      ("sigma par=1", "kernel/sigma-par1", 1);
-      ("sigma par=4", "kernel/sigma-par4", 4);
-    ];
-  Table.print t;
+  let ns =
+    Bench_util.time_ns "kernel/sigma" (fun () ->
+        Mad.Molecule_algebra.restrict
+          ~name:(Mad.Molecule_algebra.gen_name "b")
+          gdb pred mt)
+  in
+  Format.printf "sigma over %d molecules: %s@."
+    (List.length (Mad.Molecule_type.occ mt))
+    (Bench_util.pp_ns ns);
   Format.printf
-    "kernel wins come from CSR locality and bitset conjunction; the \
-     domain pool adds on top when cores are available.@."
+    "kernel wins come from CSR locality and bitset conjunction.@."

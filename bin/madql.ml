@@ -637,7 +637,7 @@ let trace_cmd =
        ~doc:
          "Execute MOL statements (against $(b,--db) or a durable \
           $(b,--data) store) and dump the engine's flight recorder as \
-          Chrome trace-event JSON: one track per domain plus WAL and \
+          Chrome trace-event JSON: one track per thread plus WAL and \
           planner tracks, loadable in Perfetto or about://tracing.")
     Term.(const trace $ db_arg $ data_arg $ trace_out_arg $ trace_stmts_arg)
 
@@ -993,8 +993,10 @@ let workers_arg =
     & opt (some int) None
     & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Worker domains — the maximum connections served concurrently \
-           (default: MAD_PAR, else the machine's recommended domain count).")
+          "Worker threads — the maximum connections served concurrently \
+           (default 4).  The server is one OCaml domain: statements run \
+           one at a time under the engine lock, and the threads overlap \
+           socket IO and fsync waits.")
 
 let pending_arg =
   Arg.(
@@ -1043,8 +1045,9 @@ let serve db_name data port host workers max_pending idle slow trace =
     Format.printf "listening on %s:%d (%d worker(s), %d pending)@." host
       (Mad_serve.Serve.port srv)
       (Mad_serve.Serve.config srv).Mad_serve.Serve.workers max_pending;
-    (* the signal handler only flips an atomic (Domain.join would block
-       delivery); this loop notices it and does the real shutdown *)
+    (* the signal handler only flips an atomic (joining the server's
+       threads from a handler would block); this loop notices it and
+       does the real shutdown *)
     while not (Mad_serve.Serve.stopped srv) do
       Unix.sleepf 0.2
     done;

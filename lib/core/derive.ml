@@ -17,14 +17,14 @@
       [Aid.Set] per node — always available, no preparation;
     - the {e kernel} path ({!Mad_kernel}) lowers the description to a
       plan over a CSR snapshot of the database and evaluates it with
-      bitsets, optionally chunking the roots across a domain pool.
+      bitsets, one root after another.
 
-    Selection: bulk derivations ([m_dom], [derive_roots]) default to
-    the kernel unless [MAD_KERNEL] is set to [off]/[0]/[scalar]/[no]/
-    [false]; a one-shot [derive_one] uses the kernel only when a
-    snapshot is already warm at the database's current epoch (building
-    one for a single molecule would cost more than it saves).  The
-    [?kernel] argument overrides either way.
+    Selection: bulk derivations ([m_dom], [derive_roots]) use the
+    kernel; a one-shot [derive_one] uses it only when a snapshot is
+    already warm at the database's current epoch (building one for a
+    single molecule would cost more than it saves).  The [?kernel]
+    argument overrides either way; the scalar path is the parity
+    oracle the tests run against the kernel.
 
     The [stats] handle counts the work done (atoms visited, links
     traversed); it is a thin shim over {!Mad_obs} counters, so the same
@@ -149,11 +149,6 @@ let m_dom_scalar ?stats db desc =
 (* ------------------------------------------------------------------ *)
 (* Kernel path                                                          *)
 
-let kernel_enabled () =
-  match Sys.getenv_opt "MAD_KERNEL" with
-  | Some ("off" | "0" | "scalar" | "no" | "false") -> false
-  | Some _ | None -> true
-
 (* lower a description to the kernel's dense plan (topo order, root
    node 0, in-edges by source node index) *)
 let compile desc =
@@ -197,8 +192,8 @@ let molecule_of_mol order (m : Mad_kernel.Kernel.mol) =
   in
   Molecule.v ~root:m.m_root ~by_node ~links
 
-(* the kernel accounts per-node work into plain arrays (worker domains
-   must not touch the registry); flush them here, on the caller *)
+(* the kernel accounts per-node work into plain arrays; flush them
+   into the stats counters here *)
 let flush_kernel_stats stats order (st : Mad_kernel.Kernel.node_stats) =
   Mad_obs.Metric.add stats.atoms_visited (Array.fold_left ( + ) 0 st.st_atoms);
   Mad_obs.Metric.add stats.links_traversed (Array.fold_left ( + ) 0 st.st_links);
@@ -219,11 +214,11 @@ let account_kernel stats n_roots =
     Mad_obs.Metric.incr (Mad_obs.Registry.counter reg "kernel.runs");
     Mad_obs.Metric.add (Mad_obs.Registry.counter reg "kernel.roots") n_roots
 
-let derive_roots_kernel ?(stats = stats ()) ?par db desc roots =
+let derive_roots_kernel ?(stats = stats ()) db desc roots =
   let snap = Mad_kernel.Snapshot.of_db db in
   let order = Mdesc.topo_order desc in
   let mols, kst =
-    Mad_kernel.Kernel.run_roots ?par snap (compile desc) (Array.of_list roots)
+    Mad_kernel.Kernel.run_roots snap (compile desc) (Array.of_list roots)
   in
   flush_kernel_stats stats order kst;
   account_kernel stats (List.length roots);
@@ -237,39 +232,30 @@ let snapshot_warm db =
 
 (** Derive molecules for an explicit list of root atoms, kernel by
     default. *)
-let derive_roots ?stats ?kernel ?par db desc roots =
-  let use = match kernel with Some b -> b | None -> kernel_enabled () in
-  if use then derive_roots_kernel ?stats ?par db desc roots
+let derive_roots ?stats ?(kernel = true) db desc roots =
+  if kernel then derive_roots_kernel ?stats db desc roots
   else List.map (derive_one_scalar ?stats db desc) roots
 
 (** Derive the molecule rooted at [root_atom].  One-shot: the kernel is
     used only when already warm (or forced). *)
 let derive_one ?stats ?kernel db desc root_atom =
-  let use =
-    match kernel with
-    | Some b -> b
-    | None -> kernel_enabled () && snapshot_warm db
-  in
+  let use = match kernel with Some b -> b | None -> snapshot_warm db in
   if use then
-    match derive_roots_kernel ?stats ~par:1 db desc [ root_atom ] with
+    match derive_roots_kernel ?stats db desc [ root_atom ] with
     | [ m ] -> m
     | _ -> assert false
   else derive_one_scalar ?stats db desc root_atom
 
 (** The full molecule-type occurrence: one molecule per root-type atom,
     in deterministic (id) order. *)
-let m_dom ?stats ?kernel ?par db desc =
+let m_dom ?stats ?kernel db desc =
   let roots =
     Database.atoms db (Mdesc.root desc) |> List.map (fun (a : Atom.t) -> a.id)
   in
-  derive_roots ?stats ?kernel ?par db desc roots
+  derive_roots ?stats ?kernel db desc roots
 
 (** Human-readable account of the path [m_dom] would take on this
     database right now (EXPLAIN ANALYZE reports it). *)
 let describe_path db =
-  if not (kernel_enabled ()) then "scalar (MAD_KERNEL=off)"
-  else
-    Printf.sprintf "kernel (par=%d, epoch=%d, snapshot=%s)"
-      (Mad_kernel.Pool.parallelism ())
-      (Database.epoch db)
-      (if snapshot_warm db then "warm" else "cold")
+  Printf.sprintf "kernel (epoch=%d, snapshot=%s)" (Database.epoch db)
+    (if snapshot_warm db then "warm" else "cold")

@@ -6,10 +6,10 @@
 
     Two equivalent implementations: the {e scalar} walk over the
     adjacency index, and the {e bitset kernel} ({!Mad_kernel}) over a
-    CSR snapshot, optionally parallel across root atoms.  Bulk
-    derivations default to the kernel ([MAD_KERNEL=off] disables);
-    single-molecule derivation uses it only when a snapshot is already
-    warm.  Both produce identical molecules and identical stats. *)
+    CSR snapshot.  Bulk derivations use the kernel; single-molecule
+    derivation uses it only when a snapshot is already warm.  Both
+    produce identical molecules and identical stats; the scalar walk is
+    the tests' parity oracle. *)
 
 open Mad_store
 
@@ -44,19 +44,16 @@ val derive_one :
 val derive_roots :
   ?stats:stats ->
   ?kernel:bool ->
-  ?par:int ->
   Database.t ->
   Mdesc.t ->
   Aid.t list ->
   Molecule.t list
-(** One molecule per given root atom, in input order.  [par] chunks the
-    roots across the domain pool (default {!Mad_kernel.Pool.parallelism},
-    i.e. [MAD_PAR]); merge order is deterministic. *)
+(** One molecule per given root atom, in input order.  Kernel path
+    unless [~kernel:false]. *)
 
 val m_dom :
   ?stats:stats ->
   ?kernel:bool ->
-  ?par:int ->
   Database.t ->
   Mdesc.t ->
   Molecule.t list
@@ -70,5 +67,5 @@ val m_dom_scalar : ?stats:stats -> Database.t -> Mdesc.t -> Molecule.t list
 
 val describe_path : Database.t -> string
 (** The path [m_dom] would take on this database right now, e.g.
-    ["kernel (par=4, epoch=17, snapshot=warm)"] — EXPLAIN ANALYZE
+    ["kernel (epoch=17, snapshot=warm)"] — EXPLAIN ANALYZE
     includes it. *)

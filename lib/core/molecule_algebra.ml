@@ -79,34 +79,12 @@ let molecule_satisfies db (mt : Molecule_type.t) (m : Molecule.t) pred =
 (* ------------------------------------------------------------------ *)
 (* Σ — molecule-type restriction (Def. 10)                              *)
 
-(* Evaluating the qualification only reads the database, and each
-   molecule is judged independently — so the filter chunks across the
-   kernel's domain pool (contiguous chunks keep the occurrence order
-   deterministic).  Small occurrence sets stay sequential; pool
-   hand-off would dominate. *)
-let par_filter ?par pred_of occ =
-  let n = List.length occ in
-  if n < 32 then List.filter pred_of occ
-  else begin
-    let arr = Array.of_list occ in
-    let keep = Array.make n false in
-    Mad_kernel.Pool.run_chunks ?par n (fun lo hi ->
-        for i = lo to hi - 1 do
-          keep.(i) <- pred_of arr.(i)
-        done);
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if keep.(i) then acc := arr.(i) :: !acc
-    done;
-    !acc
-  end
-
-let restrict ?(obs = Mad_obs.Obs.noop) ?par ?name db pred
+let restrict ?(obs = Mad_obs.Obs.noop) ?name db pred
     (mt : Molecule_type.t) =
   let name = Option.value name ~default:(gen_name (mt.name ^ "_sigma")) in
   op_span obs "restrict" @@ fun () ->
   typecheck_qual db mt pred;
-  let rsv = par_filter ?par (fun m -> molecule_satisfies db mt m pred) mt.occ in
+  let rsv = List.filter (fun m -> molecule_satisfies db mt m pred) mt.occ in
   Molecule_type.v ~attr_proj:mt.attr_proj ~name ~desc:mt.desc rsv
 
 (* ------------------------------------------------------------------ *)

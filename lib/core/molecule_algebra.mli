@@ -46,15 +46,13 @@ val molecule_satisfies : Database.t -> Molecule_type.t -> Molecule.t -> Qual.t -
 
 val restrict :
   ?obs:Mad_obs.Obs.t ->
-  ?par:int ->
   ?name:string ->
   Database.t ->
   Qual.t ->
   Molecule_type.t ->
   Molecule_type.t
-(** Σ.  Qualification evaluation chunks across the kernel's domain
-    pool when the occurrence set is large ([par] caps the chunks,
-    default [MAD_PAR]); the result order is deterministic either way. *)
+(** Σ: the molecules that satisfy the qualification, in occurrence
+    order. *)
 
 val project :
   ?obs:Mad_obs.Obs.t ->

@@ -15,9 +15,8 @@ type mol = {
 type node_stats = { st_atoms : int array; st_links : int array }
 
 (* ------------------------------------------------------------------ *)
-(* Plan preparation: resolve every type index and CSR once, on the
-   calling domain — snapshots memoise through (non-thread-safe) hash
-   tables, so workers must only ever see the resolved arrays.          *)
+(* Plan preparation: resolve every type index and CSR once per run, so
+   the per-root loop only ever touches the resolved arrays.            *)
 
 type pedge = {
   pe_link : string;
@@ -51,7 +50,7 @@ let prepare snap plan =
     plan.p_nodes
 
 (* ------------------------------------------------------------------ *)
-(* Per-chunk work state, reused across the chunk's roots               *)
+(* Per-run work state, reused across the run's roots                  *)
 
 type work = {
   w_sets : int array array;  (** per node: included dense indices *)
@@ -213,49 +212,17 @@ let reset_work pnodes work =
   done;
   work.w_lens.(0) <- 0
 
-let dummy_mol = { m_root = -1; m_atoms = [||]; m_links = [] }
-
-(* Per-domain pool utilization: [pool.busy_us{domain=i}] gauges in the
-   default registry, written from worker domains via the atomic
-   [Metric.add_gauge].  Created once from a non-worker domain — the
-   registry's hash table is not thread-safe, so workers only ever see
-   the published array (and skip recording in the unlikely event they
-   run before the first main-domain kernel run publishes it). *)
-let pool_busy : Mad_obs.Metric.gauge array option Atomic.t = Atomic.make None
-
-let pool_busy_gauges () =
-  match Atomic.get pool_busy with
-  | Some a -> Some a
-  | None ->
-    if Pool.worker_index () = 0 then begin
-      let reg = Mad_obs.Obs.registry (Mad_obs.Obs.default ()) in
-      let a =
-        Array.init (Pool.max_workers + 1) (fun i ->
-            Mad_obs.Registry.gauge reg
-              ~labels:[ ("domain", string_of_int i) ]
-              "pool.busy_us")
-      in
-      Atomic.set pool_busy (Some a);
-      Some a
-    end
-    else None
-
-let run_roots ?par snap plan roots =
+let run_roots snap plan roots =
   let n_nodes = Array.length plan.p_nodes in
   let pnodes = prepare snap plan in
   let root_ti = Snapshot.tindex snap plan.p_nodes.(0).n_type in
   let n = Array.length roots in
-  let out = Array.make (max 1 n) dummy_mol in
-  let stats = { st_atoms = Array.make n_nodes 0; st_links = Array.make n_nodes 0 } in
-  let merge = Mutex.create () in
-  let busy = pool_busy_gauges () in
   let t_run = Mad_obs.Monotonic.ticks () in
-  Pool.run_chunks ?par n (fun lo hi ->
-      let t_chunk = Mad_obs.Monotonic.ticks () in
-      let work = make_work pnodes in
-      let atoms = Array.make n_nodes 0 and links = Array.make n_nodes 0 in
-      for i = lo to hi - 1 do
-        let root_raw = roots.(i) in
+  let work = make_work pnodes in
+  let atoms = Array.make n_nodes 0 and links = Array.make n_nodes 0 in
+  let out =
+    Array.map
+      (fun root_raw ->
         let ri = Snapshot.idx_of root_ti root_raw in
         if ri < 0 then
           invalid_arg
@@ -264,27 +231,15 @@ let run_roots ?par snap plan roots =
         atoms.(0) <- atoms.(0) + 1;
         let mol_links = ref [] in
         eval pnodes work ri mol_links atoms links;
-        out.(i) <- build_mol pnodes work root_raw !mol_links;
-        reset_work pnodes work
-      done;
-      Mutex.lock merge;
-      for j = 0 to n_nodes - 1 do
-        stats.st_atoms.(j) <- stats.st_atoms.(j) + atoms.(j);
-        stats.st_links.(j) <- stats.st_links.(j) + links.(j)
-      done;
-      Mutex.unlock merge;
-      let dur_ns = Mad_obs.Monotonic.ticks () - t_chunk in
-      (match busy with
-       | Some a ->
-         Mad_obs.Metric.add_gauge
-           a.(Pool.worker_index ())
-           (float_of_int dur_ns /. 1e3)
-       | None -> ());
-      Mad_obs.Recorder.note Kernel_chunk ~dur_ns ~a:lo ~b:hi ());
+        let m = build_mol pnodes work root_raw !mol_links in
+        reset_work pnodes work;
+        m)
+      roots
+  in
   Mad_obs.Recorder.note Kernel_run
     ~dur_ns:(Mad_obs.Monotonic.ticks () - t_run)
     ~label:plan.p_nodes.(0).n_type ~a:n ~b:n_nodes ();
-  ((if n = 0 then [||] else out), stats)
+  (out, { st_atoms = atoms; st_links = links })
 
 (* ------------------------------------------------------------------ *)
 (* Closure kernel: BFS by level with a bitset member set               *)

@@ -1,5 +1,5 @@
 (** The bitset derivation kernel: [m_dom] (Def. 6) over a CSR
-    {!Snapshot}, optionally chunked across the {!Pool}.
+    {!Snapshot}.
 
     The kernel is schema-agnostic: it takes a {e plan} — the molecule
     structure lowered to dense node/edge indices — and returns raw
@@ -43,12 +43,10 @@ type node_stats = {
   st_links : int array;
 }
 
-val run_roots :
-  ?par:int -> Snapshot.t -> plan -> Aid.t array -> mol array * node_stats
+val run_roots : Snapshot.t -> plan -> Aid.t array -> mol array * node_stats
 (** One molecule per root identity (atoms of the root node's type), in
-    input order.  [par > 1] chunks the roots across the {!Pool};
-    results and stats are merged deterministically, identical to the
-    sequential run.  Unknown root identities are an [Invalid_argument]
+    input order, derived in one sequential pass that reuses a single
+    scratch set.  Unknown root identities are an [Invalid_argument]
     error. *)
 
 (** {1 Closure kernel}

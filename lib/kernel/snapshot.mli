@@ -44,8 +44,8 @@ type t
 val of_db : Database.t -> t
 (** The snapshot of [db] at its current epoch — cached (small LRU keyed
     on physical database identity), built fresh after any mutation.
-    Call from the orchestrating domain only; the returned snapshot may
-    then be shared with workers. *)
+    The cache is unsynchronized: concurrent callers must serialize
+    (the server runs every statement under its engine lock). *)
 
 val peek : Database.t -> t option
 (** The cached snapshot at the current epoch, if one exists — never

@@ -460,7 +460,7 @@ let event_json (ev : Recorder.event) =
       ("seq", Json.Num (float_of_int ev.Recorder.e_seq));
       ("kind", Json.Str (Recorder.kind_name ev.Recorder.e_kind));
       ("dur_ns", Json.Num (float_of_int ev.Recorder.e_dur_ns));
-      ("dom", Json.Num (float_of_int ev.Recorder.e_dom));
+      ("thread", Json.Num (float_of_int ev.Recorder.e_thread));
       ("label", Json.Str ev.Recorder.e_label);
       ("a", Json.Num (float_of_int ev.Recorder.e_a));
       ("b", Json.Num (float_of_int ev.Recorder.e_b));

@@ -12,19 +12,18 @@ type counter = {
   c_name : string;
   c_labels : labels;
   count : int Atomic.t;
-      (** atomic so kernel workers on other domains can account
-          atoms/links into the same counter without tearing *)
+      (** atomic so preemptible connection threads can account into
+          the same counter without losing increments *)
 }
 
 type gauge = {
   g_name : string;
   g_labels : labels;
   cell : float Atomic.t;
-      (** atomic for the same reason as [count]: the pool-utilization
-          gauges are bumped from kernel worker domains *)
+      (** atomic for the same reason as [count] *)
 }
 
-(* Histograms are fully atomic: server worker domains observe into the
+(* Histograms are fully atomic: server worker threads observe into the
    same instrument concurrently (per-request phase timings, lock
    profiles), so every cell is an [Atomic.t] — bucket increments are
    [fetch_and_add], float accumulators are CAS retry loops.  A reader

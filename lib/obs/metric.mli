@@ -8,7 +8,7 @@ type counter = private {
   c_name : string;
   c_labels : labels;
   count : int Atomic.t;
-      (** atomic so counters shared with kernel worker domains stay
+      (** atomic so counters shared between (preemptible) threads stay
           exact; read through {!value} *)
 }
 
@@ -16,12 +16,11 @@ type gauge = private {
   g_name : string;
   g_labels : labels;
   cell : float Atomic.t;
-      (** atomic — the pool-utilization gauges are written from kernel
-          worker domains; read through {!get} *)
+      (** atomic for the same reason; read through {!get} *)
 }
 
 (** Histograms are lock-free: every cell is atomic, so server worker
-    domains observe into one shared instrument (request phases, lock
+    threads observe into one shared instrument (request phases, lock
     profiles) without a guarding mutex.  Read the aggregates through
     the accessors below ({!count}, {!sum}, {!bucket_count}, …). *)
 type histogram = private {
@@ -51,7 +50,7 @@ val set : gauge -> float -> unit
 val get : gauge -> float
 
 val add_gauge : gauge -> float -> unit
-(** Atomically add a delta; safe from any domain (CAS retry loop). *)
+(** Atomically add a delta; safe from any thread (CAS retry loop). *)
 
 val default_bounds : float array
 
@@ -62,7 +61,7 @@ val latency_bounds_us : float array
 val histogram : ?labels:labels -> ?bounds:float array -> string -> histogram
 
 val observe : ?exemplar:int -> histogram -> float -> unit
-(** Record an observation — lock-free, safe from any domain.
+(** Record an observation — lock-free, safe from any thread.
     [exemplar] is a flight-recorder event seq ({!Recorder.record});
     when [>= 0] the target bucket remembers it (last-writer-wins) and
     {!Registry.expose} renders it as an OpenMetrics exemplar. *)

@@ -22,7 +22,7 @@ type t = {
       (** spans open on this context; an errored span closing at depth
           0 is a root and triggers the flight-recorder dump.
           Deliberately non-atomic: a context belongs to one session on
-          one domain (the kernel records to the ring directly). *)
+          one thread. *)
   mutable last_closed : int;
       (** flight-recorder seq of the most recently closed span, [-1]
           before any *)
@@ -130,6 +130,6 @@ let of_env () =
       other;
     create ()
 
-(* domain-safe: the first [default] call can come from any domain *)
+(* thread-safe: the first [default] call can come from any thread *)
 let default = Once.make of_env
 let default () = Once.force default

@@ -1,4 +1,4 @@
-(** Domain-safe lazy initialization — see the interface. *)
+(** Thread-safe lazy initialization — see the interface. *)
 
 type 'a t = { m : Mutex.t; f : unit -> 'a; v : 'a option Atomic.t }
 

@@ -1,11 +1,11 @@
-(** Domain-safe lazy initialization.
+(** Thread-safe lazy initialization.
 
-    OCaml's [Lazy] is not domain-safe: two domains forcing the same
+    OCaml's [Lazy] is not thread-safe: two threads forcing the same
     unforced suspension concurrently fail with
     [CamlinternalLazy.Undefined] (or [RacyLazy]).  The process-wide
     singletons of the observability layer — the default context, the
     global flight-recorder ring, shared metric handles — can see their
-    first use from any domain (e.g. several server workers accepting
+    first use from any thread (e.g. several server workers accepting
     their first connections at once), so they initialize through this
     double-checked mutex instead. *)
 

@@ -1,5 +1,5 @@
 (** Anomaly probes: EWMA baselines with trip/clear hysteresis (see the
-    interface for the model).  Probes are plain single-domain state —
+    interface for the model).  Probes are plain unsynchronized state —
     the timeline tick that feeds them is already serialized. *)
 
 type t = {

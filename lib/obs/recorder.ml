@@ -3,12 +3,12 @@
 
     Design: every slot is a preallocated mutable record; recording
     claims a unique sequence number with [Atomic.fetch_and_add] and
-    writes the slot [seq land mask] — kernel worker domains and the
-    main domain record concurrently without locks, and a ring at least
-    as large as the burst loses nothing (each event gets its own
-    slot).  Under wraparound the writer marks the slot torn ([e_seq <-
-    -1]) before filling it and stamps the final [e_seq] last, so
-    {!drain} can skip slots caught mid-write instead of emitting a
+    writes the slot [seq land mask] — connection threads, the background
+    sampler and the main thread record concurrently without locks, and a
+    ring at least as large as the burst loses nothing (each event gets
+    its own slot).  Under wraparound the writer marks the slot torn
+    ([e_seq <- -1]) before filling it and stamps the final [e_seq] last,
+    so {!drain} can skip slots caught mid-write instead of emitting a
     franken-event.
 
     The journal is diagnostic, not transactional: a reader racing a
@@ -29,7 +29,6 @@ type kind =
   | Snapshot_delta
   | Closure_repair
   | Kernel_run
-  | Kernel_chunk
   | Recovery_replay
   | Plan_switch
   | Slow_query
@@ -49,7 +48,6 @@ let kind_name = function
   | Snapshot_delta -> "snapshot.delta"
   | Closure_repair -> "closure.repair"
   | Kernel_run -> "kernel.run"
-  | Kernel_chunk -> "kernel.chunk"
   | Recovery_replay -> "recovery.replay"
   | Plan_switch -> "plan.switch"
   | Slow_query -> "slow.query"
@@ -63,7 +61,7 @@ type event = {
   mutable e_kind : kind;
   mutable e_ticks : int;  (** {!Monotonic.ticks} at record time *)
   mutable e_dur_ns : int;  (** duration, 0 for instants *)
-  mutable e_dom : int;  (** recording domain id *)
+  mutable e_thread : int;  (** recording thread id ([Thread.id]) *)
   mutable e_label : string;  (** span name / WAL tag / snapshot target *)
   mutable e_a : int;  (** kind-specific payload (bytes, roots, recno…) *)
   mutable e_b : int;  (** second payload (nodes, hi, error flag…) *)
@@ -82,7 +80,7 @@ let empty_event () =
     e_kind = Span_begin;
     e_ticks = 0;
     e_dur_ns = 0;
-    e_dom = 0;
+    e_thread = 0;
     e_label = "";
     e_a = 0;
     e_b = 0;
@@ -94,7 +92,7 @@ let copy_event ev =
     e_kind = ev.e_kind;
     e_ticks = ev.e_ticks;
     e_dur_ns = ev.e_dur_ns;
-    e_dom = ev.e_dom;
+    e_thread = ev.e_thread;
     e_label = ev.e_label;
     e_a = ev.e_a;
     e_b = ev.e_b;
@@ -117,6 +115,7 @@ let recorded t = Atomic.get t.cursor
 let record t kind ?ticks ?(dur_ns = 0) ?(label = "") ?(a = 0) ?(b = 0) () =
   if not (Atomic.get t.on) then -1
   else begin
+    let thread = Thread.id (Thread.self ()) in
     let seq = Atomic.fetch_and_add t.cursor 1 in
     let ev = t.events.(seq land t.mask) in
     ev.e_seq <- -1;
@@ -124,7 +123,7 @@ let record t kind ?ticks ?(dur_ns = 0) ?(label = "") ?(a = 0) ?(b = 0) () =
     ev.e_ticks <-
       (match ticks with Some tk -> tk | None -> Monotonic.ticks ());
     ev.e_dur_ns <- dur_ns;
-    ev.e_dom <- (Domain.self () :> int);
+    ev.e_thread <- thread;
     ev.e_label <- label;
     ev.e_a <- a;
     ev.e_b <- b;
@@ -133,14 +132,19 @@ let record t kind ?ticks ?(dur_ns = 0) ?(label = "") ?(a = 0) ?(b = 0) () =
   end
 
 (** Snapshot the retained window, oldest first.  Slots being rewritten
-    while we read (the wraparound race) are skipped. *)
+    while we read (the wraparound race) are skipped: a copy counts only
+    if the slot still holds the same [e_seq] after it was taken, since
+    a writer marks the slot torn before touching any other field. *)
 let drain t =
   let total = Atomic.get t.cursor in
   let lo = max 0 (total - Array.length t.events) in
   let out = ref [] in
   for seq = total - 1 downto lo do
     let ev = t.events.(seq land t.mask) in
-    if ev.e_seq = seq then out := copy_event ev :: !out
+    if ev.e_seq = seq then begin
+      let c = copy_event ev in
+      if ev.e_seq = seq then out := c :: !out
+    end
   done;
   !out
 
@@ -171,9 +175,10 @@ let trace_file () =
 (* forward reference: [dump] is defined below, after the Chrome export *)
 let dump_ref = ref (fun (_ : t) (_ : string) -> ())
 
-(* the first recorder use can come from any domain — several server
+(* the first recorder use can come from any thread — several server
    workers accepting their first connections at once — so the ring
-   initializes through [Once], not a (domain-unsafe) lazy *)
+   initializes through [Once], not a lazy (forcing one that another
+   thread is forcing raises [Lazy.Undefined]) *)
 let global_ring =
   Once.make (fun () ->
     let t =
@@ -225,10 +230,11 @@ let dump_on_error () =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export (Perfetto / about://tracing)               *)
 
-(* synthetic track ids: real domains are small non-negative ints, so
-   parking the WAL and planner tracks high up cannot collide *)
-let wal_tid = 1000
-let planner_tid = 1001
+(* synthetic track ids: thread ids count up from 0 as threads are
+   created, so parking the WAL and planner tracks far above cannot
+   collide *)
+let wal_tid = 1 lsl 20
+let planner_tid = wal_tid + 1
 
 let is_planner_label l =
   String.length l >= 6 && String.sub l 0 6 = "prima."
@@ -238,18 +244,18 @@ let tid_of ev =
   | Wal_append | Wal_fsync | Group_commit | Recovery_replay -> wal_tid
   | Plan_switch -> planner_tid
   | (Span_begin | Span_end) when is_planner_label ev.e_label -> planner_tid
-  | _ -> ev.e_dom
+  | _ -> ev.e_thread
 
 let track_name tid =
   if tid = wal_tid then "wal"
   else if tid = planner_tid then "planner"
-  else Printf.sprintf "domain %d" tid
+  else Printf.sprintf "thread %d" tid
 
 (* "X" = complete event (ts + dur); everything else is an instant *)
 let is_complete ev =
   match ev.e_kind with
   | Span_end | Wal_fsync | Group_commit | Snapshot_build | Snapshot_delta
-  | Closure_repair | Kernel_run | Kernel_chunk ->
+  | Closure_repair | Kernel_run ->
     true
   | Serve_request | Serve_phase -> true
   | Span_begin | Wal_append | Snapshot_invalidate
@@ -286,7 +292,6 @@ let args_of ev =
     | Kernel_run ->
       [ ("target", Json.Str ev.e_label); ("roots", num ev.e_a);
         ("nodes", num ev.e_b) ]
-    | Kernel_chunk -> [ ("lo", num ev.e_a); ("hi", num ev.e_b) ]
     | Recovery_replay -> [ ("recno", num ev.e_a); ("bytes", num ev.e_b) ]
     | Plan_switch ->
       [ ("fingerprint", Json.Str ev.e_label);

@@ -2,8 +2,8 @@
     typed engine events, always on at near-zero cost.
 
     Slots are preallocated records; recording claims a unique sequence
-    number with an atomic cursor, so kernel worker domains and the
-    main domain record concurrently without locks.  The retained
+    number with an atomic cursor, so connection threads and the main
+    thread record concurrently without locks.  The retained
     window drains on demand to Chrome trace-event JSON loadable in
     Perfetto or [about://tracing] ([madql query --trace FILE], repl
     [:trace], [madql trace], [MAD_OBS_TRACE=FILE], or automatically
@@ -41,7 +41,6 @@ type kind =
   | Kernel_run
       (** one kernel derivation; [label] = root type or ["closure"],
           [a] = roots, [b] = plan nodes *)
-  | Kernel_chunk  (** one pool chunk; [a]/[b] = root range, [dur_ns] = busy time *)
   | Recovery_replay  (** one WAL record replayed; [a] = recno, [b] = bytes *)
   | Plan_switch
       (** a statement fingerprint changed plans; [label] = fingerprint
@@ -74,7 +73,7 @@ type event = {
   mutable e_kind : kind;
   mutable e_ticks : int;  (** {!Monotonic.ticks} at record time *)
   mutable e_dur_ns : int;  (** duration, 0 for instants *)
-  mutable e_dom : int;  (** recording domain id *)
+  mutable e_thread : int;  (** recording thread id ([Thread.id]) *)
   mutable e_label : string;
   mutable e_a : int;  (** kind-specific payload *)
   mutable e_b : int;
@@ -101,7 +100,7 @@ val record :
   unit ->
   int
 (** Record one event; returns its sequence number, or [-1] when the
-    ring is disabled.  Lock-free and safe from any domain.  [ticks]
+    ring is disabled.  Lock-free and safe from any thread or domain.  [ticks]
     lets a caller that already read {!Monotonic.ticks} donate the
     reading instead of paying a second clock read. *)
 
@@ -139,7 +138,7 @@ val dump_on_error : unit -> unit
 
 val to_chrome : t -> Json.t
 (** Drain and render as a Chrome trace-event object
-    ([{"traceEvents": [...]}]): one track per recording domain plus
+    ([{"traceEvents": [...]}]): one track per recording thread plus
     synthetic [wal] and [planner] tracks, complete ("X") events for
     everything carrying a duration, instants ("i") for the rest.
     Timestamps are microseconds relative to the oldest retained

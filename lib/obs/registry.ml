@@ -7,9 +7,9 @@
 type key = string * Metric.labels
 
 (* the lock serializes every Hashtbl / [order] access: the timeline's
-   background sampler domain snapshots ([to_list]) while the statement
+   background sampler thread snapshots ([to_list]) while the statement
    path registers new instruments, and stdlib Hashtbl is not safe
-   under unsynchronized multi-domain use.  Instrument mutation
+   under unsynchronized use from preemptible threads.  Instrument mutation
    (Metric.incr and friends) stays lock-free — word-sized fields never
    tear, and telemetry tolerates a stale read. *)
 type t = {

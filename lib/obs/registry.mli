@@ -3,9 +3,9 @@
     actual counters.
 
     Registration and enumeration are thread-safe (a mutex guards the
-    table), so the timeline's background sampler domain can snapshot
+    table), so the timeline's background sampler thread can snapshot
     while the statement path registers new instruments.  Instrument
-    {e mutation} (Metric.incr etc.) is lock-free; cross-domain readers
+    {e mutation} (Metric.incr etc.) is lock-free; concurrent readers
     may observe slightly stale values, never torn ones. *)
 
 type t

@@ -81,7 +81,7 @@ let with_lock t f =
 
 (* [*_u] variants assume [t.lock] is held; the public wrappers take it
    so readers never observe the ring or probe list mid-mutation while
-   the background sampler domain is ticking *)
+   the background sampler thread is ticking *)
 
 let frames_u t =
   let cap = capacity t in
@@ -392,7 +392,7 @@ let maybe_tick ?epoch t registry =
 
 let state : t option ref = ref None
 
-(* [on] and [source] are read by the background sampler domain while
+(* [on] and [source] are read by the background sampler thread while
    the statement path writes them, so they must be Atomic *)
 let on = Atomic.make true
 let env_read = ref false
@@ -403,7 +403,7 @@ let source : Registry.t option Atomic.t = Atomic.make None
    it again, so a stale loop sees the mismatch and exits while a later
    [configure ~background:true] can always respawn *)
 let bg_gen = Atomic.make 0
-let bg_running = ref false  (* main-domain bookkeeping only *)
+let bg_running = ref false  (* caller-side bookkeeping only *)
 
 let env_tick () =
   match Option.map String.trim (Sys.getenv_opt "MAD_OBS_TICK") with
@@ -439,7 +439,7 @@ let start_background t =
   if not !bg_running then begin
     bg_running := true;
     let gen = 1 + Atomic.fetch_and_add bg_gen 1 in
-    ignore (Domain.spawn (fun () -> background_loop t gen))
+    ignore (Thread.create (background_loop t) gen)
   end
 
 let stop_background () =

@@ -6,12 +6,12 @@
     {e health} verdict.
 
     The global timeline ticks from [Mad_mql.Session.run] (interval
-    gated) and, optionally, from a background domain, both configured
+    gated) and, optionally, from a background thread, both configured
     by the [MAD_OBS_TICK] environment variable:
     {v
     MAD_OBS_TICK=SECS     enable: sample every SECS seconds, driven by
                           statement execution
-    MAD_OBS_TICK=SECS:bg  also spawn a background sampler domain, so
+    MAD_OBS_TICK=SECS:bg  also spawn a background sampler thread, so
                           frames keep arriving while the engine idles
     v}
     Frames persist as [timeline.mad] beside a durable store's WAL, so
@@ -83,7 +83,7 @@ val interval : t -> float
 val frames : t -> frame list
 (** Retained frames, oldest first.  Like every reader and export below,
     takes the timeline's lock, so a snapshot is consistent even while
-    the background sampler domain ticks. *)
+    the background sampler thread ticks. *)
 
 val sampled : t -> int
 (** Total frames ever sampled (not the retained count). *)
@@ -105,7 +105,7 @@ val tick : ?epoch:int -> t -> Registry.t -> frame
     recorder), snapshot the registry into a frame, push it onto the
     ring, run the probes over the delta to the previous frame, and
     publish [health.state].  Thread-safe (a mutex serializes ticks
-    from the background domain and the statement path). *)
+    from the background thread and the statement path). *)
 
 val maybe_tick : ?epoch:int -> t -> Registry.t -> bool
 (** {!tick} if at least [interval] seconds passed since the last
@@ -129,7 +129,7 @@ val health : t -> health
 val configure :
   ?capacity:int -> ?interval:float -> ?background:bool -> unit -> t
 (** Install (or return) the process-global timeline; [background]
-    spawns the sampler domain.  Explicit configuration wins over
+    starts the sampler thread.  Explicit configuration wins over
     [MAD_OBS_TICK]. *)
 
 val active : unit -> t option
@@ -146,10 +146,10 @@ val auto_tick : ?epoch:int -> Registry.t -> unit
 (** The statement-path hook ([Session.run]): interval-gated tick of
     the global timeline against [registry]; near-free while the
     timeline is unconfigured or disabled.  Also remembers [registry]
-    as the background domain's sampling source. *)
+    as the background thread's sampling source. *)
 
 val stop_background : unit -> unit
-(** Ask the background sampler domain (if any) to exit.  A later
+(** Ask the background sampler thread (if any) to exit.  A later
     [configure ~background:true] spawns a fresh one. *)
 
 (** {1 Export} *)

@@ -83,11 +83,6 @@ let v db ~root_type ~link ?(view = Sub) ?max_depth ?component () =
 
 let dir_of_view = function Sub -> `Fwd | Super -> `Bwd
 
-let kernel_enabled () =
-  match Sys.getenv_opt "MAD_KERNEL" with
-  | Some ("off" | "0" | "scalar" | "no" | "false") -> false
-  | Some _ | None -> true
-
 (* Post-order of the CSR graph (children before parents), or [None]
    when a cycle (including a self-loop) makes one impossible.
    Iterative DFS — recursion depth would track the longest chain. *)
@@ -431,9 +426,8 @@ let derive_one ?(stats = Mad.Derive.stats ()) ?kernel db (d : desc) root =
   let use =
     match kernel with
     | Some b -> b
-    | None ->
-      kernel_enabled ()
-      && (match Mad_kernel.Snapshot.peek db with Some _ -> true | None -> false)
+    | None -> (
+      match Mad_kernel.Snapshot.peek db with Some _ -> true | None -> false)
   in
   let members, links, depth_of =
     if use then closure_kernel ~stats db d root
@@ -451,10 +445,9 @@ let derive_one ?(stats = Mad.Derive.stats ()) ?kernel db (d : desc) root =
     scratch buffers ({!Mad_kernel.Kernel.closure_roots}); unbounded
     closures over acyclic link graphs additionally share the member
     and link sets bottom-up ({!memo_closures}). *)
-let m_dom ?(stats = Mad.Derive.stats ()) ?kernel db (d : desc) =
-  let use = match kernel with Some b -> b | None -> kernel_enabled () in
+let m_dom ?(stats = Mad.Derive.stats ()) ?(kernel = true) db (d : desc) =
   let atoms = Database.atoms db d.root_type in
-  if not use then
+  if not kernel then
     List.map
       (fun (a : Atom.t) -> derive_one ~stats ~kernel:false db d a.id)
       atoms

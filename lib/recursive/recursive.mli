@@ -52,7 +52,8 @@ val derive_one :
 val m_dom :
   ?stats:Mad.Derive.stats -> ?kernel:bool -> Database.t -> desc -> molecule list
 (** One molecule per root-type atom; builds the CSR snapshot once and
-    runs every closure on it (unless [MAD_KERNEL=off]). *)
+    runs every closure on it ([~kernel:false] runs the scalar
+    fixpoint per root instead). *)
 
 val define :
   ?stats:Mad.Derive.stats -> ?kernel:bool -> Database.t -> name:string -> desc -> t

@@ -1,11 +1,14 @@
 (** The MQL network service — see the interface for the contract.
 
-    Threading layout: one accept domain multiplexes the listener with
-    a 0.25 s [select] slice (so a stop request is noticed promptly);
-    [workers] domains each pop one admitted connection at a time from
-    a bounded queue and serve it for its lifetime.  Sockets carry a
-    0.25 s [SO_RCVTIMEO], and every blocking read polls the stop flag
-    and its idle/read deadline between slices ({!Wire}'s
+    Threading layout: the server is one OCaml domain.  One accept
+    thread multiplexes the listener with a 0.25 s [select] slice (so a
+    stop request is noticed promptly); [workers] threads each pop one
+    admitted connection at a time from a bounded queue and serve it
+    for its lifetime.  Blocking socket IO, fsyncs and lock waits
+    release the runtime lock, so threads overlap everything but
+    statement execution — which the engine lock serializes anyway.
+    Sockets carry a 0.25 s [SO_RCVTIMEO], and every blocking read polls
+    the stop flag and its idle/read deadline between slices ({!Wire}'s
     [keep_waiting]).
 
     Statement execution is serialized under [engine] (the store and
@@ -32,7 +35,7 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    workers = Mad_kernel.Pool.parallelism ();
+    workers = 4;
     max_pending = 16;
     idle_timeout = 300.0;
     read_timeout = 30.0;
@@ -55,8 +58,8 @@ type t = {
       (** admitted, not yet served; the int is {!Mad_obs.Monotonic}
           ticks at admission, the start of the queue-wait phase *)
   conn_seq : int Atomic.t;
-  mutable accepter : unit Stdlib.Domain.t option;
-  mutable domains : unit Stdlib.Domain.t list;
+  mutable accepter : Thread.t option;
+  mutable threads : Thread.t list;
   mutable joined : bool;
   c_conns : Mad_obs.Metric.counter;
   c_busy : Mad_obs.Metric.counter;
@@ -589,7 +592,7 @@ let start ?obs ?(config = default_config) ?durable database =
       q = Queue.create ();
       conn_seq = Atomic.make 1;
       accepter = None;
-      domains = [];
+      threads = [];
       joined = false;
       c_conns = Mad_obs.Obs.counter obs "serve.connections";
       c_busy = Mad_obs.Obs.counter obs "serve.busy";
@@ -614,23 +617,22 @@ let start ?obs ?(config = default_config) ?durable database =
       g_queue_peak = Mad_obs.Obs.gauge obs "serve.queue_peak_pct";
     }
   in
-  t.accepter <- Some (Stdlib.Domain.spawn (fun () -> accept_loop t));
-  t.domains <-
-    List.init t.cfg.workers (fun _ -> Stdlib.Domain.spawn (fun () -> worker_loop t));
+  t.accepter <- Some (Thread.create accept_loop t);
+  t.threads <- List.init t.cfg.workers (fun _ -> Thread.create worker_loop t);
   t
 
 let stop t =
   request_stop t;
   if not t.joined then begin
     t.joined <- true;
-    (* closing the listener kicks the accept domain out of select *)
+    (* closing the listener kicks the accept thread out of select *)
     close_quietly t.listener;
     Mutex.lock t.qm;
     Condition.broadcast t.qcv;
     Mutex.unlock t.qm;
-    (match t.accepter with Some d -> Stdlib.Domain.join d | None -> ());
-    List.iter Stdlib.Domain.join t.domains;
-    t.domains <- [];
+    Option.iter Thread.join t.accepter;
+    List.iter Thread.join t.threads;
+    t.threads <- [];
     (* admitted but never served: hang up *)
     Mutex.lock t.qm;
     Queue.iter (fun (fd, _, _) -> close_quietly fd) t.q;

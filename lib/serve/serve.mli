@@ -1,7 +1,7 @@
 (** The MQL network service: [madql serve].
 
     A TCP server multiplexing MOL sessions over one database.  Each
-    accepted connection is served by a worker domain for the
+    accepted connection is served by a worker thread for the
     connection's lifetime and owns a private {!Mad_mql.Session} with
     its own observability context, adaptive catalog slot and workload
     digest — so slow-log and digest attribution stay per-connection.
@@ -34,7 +34,7 @@
 type config = {
   host : string;  (** bind address (name or dotted quad) *)
   port : int;  (** 0 picks an ephemeral port — read it back with {!port} *)
-  workers : int;  (** worker domains = max connections served at once *)
+  workers : int;  (** worker threads = max connections served at once *)
   max_pending : int;  (** accepted connections waiting for a worker *)
   idle_timeout : float;  (** seconds between requests before the server says Bye *)
   read_timeout : float;  (** seconds a started frame may stall mid-read *)
@@ -42,8 +42,7 @@ type config = {
 }
 
 val default_config : config
-(** 127.0.0.1:0, [Mad_kernel.Pool.parallelism ()] workers (MAD_PAR
-    honoured), 16 pending, 300 s idle, 30 s read,
+(** 127.0.0.1:0, 4 workers, 16 pending, 300 s idle, 30 s read,
     {!Wire.default_max_frame} cap. *)
 
 type t
@@ -54,8 +53,8 @@ val start :
   ?durable:Mad_durable.Durable.t ->
   Mad_store.Database.t ->
   t
-(** Bind, listen and spawn the accept and worker domains; returns once
-    the server is accepting.  [obs] (default a fresh
+(** Bind, listen and start the accept and worker threads (all in the
+    calling domain); returns once the server is accepting.  [obs] (default a fresh
     [Mad_obs.Obs.create ()]) holds the [serve.*] metrics and is what
     the [Stats] request exposes.  With [durable], pass
     [Mad_durable.Durable.db h] as the database: DML is journaled by
@@ -87,6 +86,6 @@ val stopped : t -> bool
 
 val stop : t -> unit
 (** Stop and join: close the listener, wake the accept and worker
-    domains, let each worker finish the request it is serving (the
+    threads, let each worker finish the request it is serving (the
     response is sent) and say Bye, then close never-served pending
     connections.  Idempotent; safe after {!request_stop}. *)

@@ -1,14 +1,15 @@
-(* Kernel/scalar parity: the bitset derivation kernel (CSR snapshots,
-   domain pool) must produce exactly the molecules — and exactly the
-   work accounting — of the scalar walk, on every workload shape:
-   hierarchical grids, diamonds, reflexive closures; sequentially and
-   chunked across domains; and across mutation epochs. *)
+(* Kernel/scalar parity: the bitset derivation kernel (CSR snapshots)
+   must produce exactly the molecules — and exactly the work
+   accounting — of the scalar walk, on every workload shape:
+   hierarchical grids, diamonds, reflexive closures; and across
+   mutation epochs. *)
 
 open Mad_store
 open Workloads
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
 
 let same_molecules what expected actual =
   check_int (what ^ ": cardinality") (List.length expected) (List.length actual);
@@ -23,28 +24,19 @@ let same_molecules what expected actual =
            a.Mad.Molecule.by_node))
     expected actual
 
-(* scalar vs kernel (par=1) vs kernel (par=4): same molecules, same
-   stats *)
+(* scalar vs kernel: same molecules, same stats *)
 let parity_on what db desc =
   let s_scalar = Mad.Derive.stats () in
   let scalar = Mad.Derive.m_dom_scalar ~stats:s_scalar db desc in
-  let s_k1 = Mad.Derive.stats () in
-  let k1 = Mad.Derive.m_dom ~stats:s_k1 ~kernel:true ~par:1 db desc in
-  let s_k4 = Mad.Derive.stats () in
-  let k4 = Mad.Derive.m_dom ~stats:s_k4 ~kernel:true ~par:4 db desc in
-  same_molecules (what ^ " par=1") scalar k1;
-  same_molecules (what ^ " par=4") scalar k4;
-  List.iter
-    (fun (p, s) ->
-      check_int
-        (what ^ " " ^ p ^ ": atoms_visited")
-        (Mad.Derive.atoms_visited s_scalar)
-        (Mad.Derive.atoms_visited s);
-      check_int
-        (what ^ " " ^ p ^ ": links_traversed")
-        (Mad.Derive.links_traversed s_scalar)
-        (Mad.Derive.links_traversed s))
-    [ ("par=1", s_k1); ("par=4", s_k4) ]
+  let s_k = Mad.Derive.stats () in
+  let k = Mad.Derive.m_dom ~stats:s_k ~kernel:true db desc in
+  same_molecules what scalar k;
+  check_int (what ^ ": atoms_visited")
+    (Mad.Derive.atoms_visited s_scalar)
+    (Mad.Derive.atoms_visited s_k);
+  check_int (what ^ ": links_traversed")
+    (Mad.Derive.links_traversed s_scalar)
+    (Mad.Derive.links_traversed s_k)
 
 let grid () =
   Geo_grid.build ~rows:6 ~cols:6
@@ -117,17 +109,9 @@ let test_derive_one_warm_path () =
   ignore (Mad.Derive.m_dom ~kernel:true db desc);
   let warm = Mad.Derive.derive_one db desc root in
   check "cold (scalar) = warm (kernel)" true (Mad.Molecule.equal cold warm);
-  (* with MAD_KERNEL=off the warm path stays scalar — only assert the
-     fast path when the kernel is actually enabled *)
-  let kernel_off =
-    match Sys.getenv_opt "MAD_KERNEL" with
-    | Some ("off" | "0" | "scalar" | "no" | "false") -> true
-    | _ -> false
-  in
-  if not kernel_off then
-    check "path reports warm snapshot" true
-      (let s = Mad.Derive.describe_path db in
-       String.length s >= 6 && String.sub s 0 6 = "kernel")
+  check_string "path reports warm snapshot"
+    (Printf.sprintf "kernel (epoch=%d, snapshot=warm)" (Database.epoch db))
+    (Mad.Derive.describe_path db)
 
 let test_epoch_invalidation () =
   let db, desc = diamond_db () in
@@ -259,35 +243,6 @@ let test_vlsi_instantiates_closure () =
         (Mad_recursive.Recursive.equal_molecule a b))
     scalar kernel
 
-let test_restrict_parallel_parity () =
-  let g = grid () in
-  let db = g.Geo_grid.db in
-  let desc = Geo_schema.mt_state_desc db in
-  let mt = Mad.Molecule_algebra.define db ~name:"mt36" desc in
-  let pred = Mad.Qual.(attr "state" "hectare" >=% int 400) in
-  let seq = Mad.Molecule_algebra.restrict ~par:1 ~name:"seq" db pred mt in
-  let par = Mad.Molecule_algebra.restrict ~par:4 ~name:"par" db pred mt in
-  same_molecules "sigma par=4"
-    (Mad.Molecule_type.occ seq)
-    (Mad.Molecule_type.occ par)
-
-let test_pool_counters_across_domains () =
-  (* Metric counters are Atomic: concurrent adds from pool workers must
-     not tear or drop *)
-  let c = Mad_obs.Metric.counter "t.atomic" in
-  Mad_kernel.Pool.run_chunks ~par:4 4000 (fun lo hi ->
-      for _ = lo to hi - 1 do
-        Mad_obs.Metric.incr c
-      done);
-  check_int "4000 increments survive" 4000 (Mad_obs.Metric.value c);
-  (* chunk boundaries partition the range exactly *)
-  let seen = Array.make 100 0 in
-  Mad_kernel.Pool.run_chunks ~par:3 100 (fun lo hi ->
-      for i = lo to hi - 1 do
-        seen.(i) <- seen.(i) + 1
-      done);
-  Array.iteri (fun i n -> check_int (Printf.sprintf "index %d" i) 1 n) seen
-
 let test_registry_stats_parity () =
   (* registry-backed handles: per-node accounting must agree between
      the scalar walk and the kernel flush *)
@@ -295,8 +250,7 @@ let test_registry_stats_parity () =
   let reg_s = Mad_obs.Registry.create () and reg_k = Mad_obs.Registry.create () in
   ignore (Mad.Derive.m_dom_scalar ~stats:(Mad.Derive.stats_in reg_s) db desc);
   ignore
-    (Mad.Derive.m_dom ~stats:(Mad.Derive.stats_in reg_k) ~kernel:true ~par:4 db
-       desc);
+    (Mad.Derive.m_dom ~stats:(Mad.Derive.stats_in reg_k) ~kernel:true db desc);
   List.iter
     (fun node ->
       let labels = [ ("node", node) ] in
@@ -312,7 +266,7 @@ let test_registry_stats_parity () =
 
 let suite =
   [
-    Alcotest.test_case "geo grid parity (scalar/kernel, par 1 and 4)" `Quick
+    Alcotest.test_case "geo grid parity (scalar/kernel, molecules and stats)" `Quick
       test_geo_grid_parity;
     Alcotest.test_case "vlsi cell-pin-net parity" `Quick test_vlsi_parity;
     Alcotest.test_case "diamond parity (conjunctive AND)" `Quick
@@ -329,10 +283,6 @@ let suite =
       test_cyclic_closure_fallback;
     Alcotest.test_case "vlsi instantiates closure parity" `Quick
       test_vlsi_instantiates_closure;
-    Alcotest.test_case "sigma restriction parallel parity" `Quick
-      test_restrict_parallel_parity;
-    Alcotest.test_case "atomic counters across pool domains" `Quick
-      test_pool_counters_across_domains;
     Alcotest.test_case "registry per-node stats parity" `Quick
       test_registry_stats_parity;
   ]

@@ -372,7 +372,7 @@ let test_recorder_concurrent_domains () =
   let worker k () =
     for i = 0 to per - 1 do
       ignore
-        (Recorder.record r Recorder.Kernel_chunk
+        (Recorder.record r Recorder.Kernel_run
            ~label:(Printf.sprintf "d%d" k)
            ~a:i ())
     done
@@ -618,10 +618,10 @@ let test_recorder_engine_events () =
       | Error e -> Alcotest.failf "dumped trace does not parse: %s" e)
 
 (* ------------------------------------------------------------------ *)
-(* Domain-safe gauges, exemplars, exposition escaping                   *)
+(* Domain-safe gauges and counters, exemplars, exposition escaping    *)
 
 let test_gauge_domain_safe () =
-  let g = Metric.gauge "pool.busy_us" in
+  let g = Metric.gauge "t.busy_us" in
   let ds =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
@@ -633,6 +633,18 @@ let test_gauge_domain_safe () =
   check "40000 concurrent adds survive" true (Metric.get g = 40000.0);
   Metric.set g 2.0;
   check "set still wins" true (Metric.get g = 2.0)
+
+let test_counter_domain_safe () =
+  let c = Metric.counter "t.atomic" in
+  let ds =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to 1_000 do
+              Metric.incr c
+            done))
+  in
+  List.iter Domain.join ds;
+  check_int "4000 concurrent increments survive" 4000 (Metric.value c)
 
 let test_exemplars () =
   let reg = Registry.create () in
@@ -678,7 +690,7 @@ let test_recorder_drain_races_wrap () =
   let writer () =
     for i = 0 to total - 1 do
       ignore
-        (Recorder.record r Recorder.Kernel_chunk ~label:"race" ~a:i
+        (Recorder.record r Recorder.Kernel_run ~label:"race" ~a:i
            ~dur_ns:(i * 3) ())
     done
   in
@@ -691,7 +703,7 @@ let test_recorder_drain_races_wrap () =
       (fun e ->
         check "event intact" true
           (e.Recorder.e_seq >= 0
-          && e.Recorder.e_kind = Recorder.Kernel_chunk
+          && e.Recorder.e_kind = Recorder.Kernel_run
           && String.equal e.Recorder.e_label "race"
           && e.Recorder.e_dur_ns = e.Recorder.e_a * 3))
       evs;
@@ -762,6 +774,7 @@ let suite =
     Alcotest.test_case "recorder engine events" `Quick
       test_recorder_engine_events;
     Alcotest.test_case "gauge domain safety" `Quick test_gauge_domain_safe;
+    Alcotest.test_case "counter domain safety" `Quick test_counter_domain_safe;
     Alcotest.test_case "histogram exemplars" `Quick test_exemplars;
     Alcotest.test_case "prometheus escaping" `Quick test_prom_escaping;
   ]

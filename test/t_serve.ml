@@ -563,6 +563,76 @@ let test_shutdown_drains () =
    | alive -> check "connection closed after drain" false alive);
   Client.close ~quit:false c
 
+(* --- one domain: workers are threads ------------------------------- *)
+
+(* a worker per thread, not per domain: 200 workers would exceed the
+   runtime's domain limit (128) and fail at start *)
+let test_many_workers () =
+  let config = { Serve.default_config with Serve.workers = 200 } in
+  with_server ~config (brazil ()) @@ fun srv ->
+  let c1 = connect_ok srv and c2 = connect_ok srv in
+  List.iter
+    (fun c ->
+      (match Client.query c "SELECT ALL FROM state WHERE state.name = 'SP';" with
+       | Ok out -> check "query served" true (contains ~affix:"state" out)
+       | Error msg -> Alcotest.failf "query: %s" msg);
+      Client.close c)
+    [ c1; c2 ];
+  check_int "two connections admitted" 2 (Serve.connections srv)
+
+(* each connection is served by its own thread, and the flight
+   recorder stamps events with the recording thread: two concurrent
+   connections land their serve.request slices on two Chrome tracks *)
+let test_connection_tracks () =
+  let ring = Mad_obs.Recorder.global () in
+  Mad_obs.Recorder.set_enabled true;
+  let first = Mad_obs.Recorder.recorded ring in
+  with_server (brazil ()) @@ fun srv ->
+  let c1 = connect_ok srv and c2 = connect_ok srv in
+  let ask c =
+    Thread.create
+      (fun () ->
+        match Client.query c "SELECT ALL FROM state;" with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "query: %s" msg)
+      ()
+  in
+  List.iter Thread.join [ ask c1; ask c2 ];
+  Client.close c1;
+  Client.close c2;
+  let events =
+    match Mad_obs.Json.member "traceEvents" (Mad_obs.Recorder.to_chrome ring) with
+    | Some (Mad_obs.Json.List l) -> l
+    | _ -> Alcotest.fail "traceEvents missing"
+  in
+  let num k e = Option.bind (Mad_obs.Json.member k e) Mad_obs.Json.to_float in
+  let str k e = Option.bind (Mad_obs.Json.member k e) Mad_obs.Json.to_str in
+  let tids =
+    List.filter_map
+      (fun e ->
+        let seq = Option.bind (Mad_obs.Json.member "args" e) (num "seq") in
+        match (str "cat" e, seq) with
+        | Some "serve.request", Some q when int_of_float q >= first -> num "tid" e
+        | _ -> None)
+      events
+    |> List.sort_uniq compare
+  in
+  check_int "two connection tracks" 2 (List.length tids);
+  List.iter
+    (fun tid ->
+      let name =
+        List.find_map
+          (fun e ->
+            if str "name" e = Some "thread_name" && num "tid" e = Some tid then
+              Option.bind (Mad_obs.Json.member "args" e) (str "name")
+            else None)
+          events
+      in
+      check_string "track named after its thread"
+        (Printf.sprintf "thread %d" (int_of_float tid))
+        (Option.value name ~default:"<unnamed>"))
+    tids
+
 (* --- typed data-directory errors ------------------------------------ *)
 
 (* root ignores permission bits, so provoke the failures with ENOTDIR
@@ -608,5 +678,8 @@ let suite =
       test_concurrent_writers;
     Alcotest.test_case "shutdown drains in-flight requests" `Quick
       test_shutdown_drains;
+    Alcotest.test_case "many worker threads (200)" `Quick test_many_workers;
+    Alcotest.test_case "connections trace on their own tracks" `Quick
+      test_connection_tracks;
     Alcotest.test_case "typed data-dir errors" `Quick test_data_dir_errors;
   ]
