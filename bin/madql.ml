@@ -78,12 +78,51 @@ let apply_slow = function
   | None -> ()
   | Some ms -> Mad_obs.Digest.set_slow_log (Some ms)
 
-(** Run [f session durable] against either a transient session over a
+(* The side state a durable store keeps beside its log: a session's
+   learned catalog (stats.mad) and workload digest (digest.mad), and the
+   live timeline's frames and probe baselines (timeline.mad).  Every
+   [--data] entry point loads and saves it through this one pair.  The
+   timeline persists only when it is live at load time, so one that
+   starts later cannot overwrite the frames it never loaded. *)
+type side = {
+  h : Mad_durable.Durable.t;
+  session : Mad_mql.Session.t option;
+  timeline : Mad_obs.Timeline.t option;
+}
+
+let load_side h session =
+  let module D = Mad_durable.Durable in
+  Option.iter
+    (fun (s : Mad_mql.Session.t) ->
+      ignore (Prima.Adaptive.load_session s (D.stats_path h));
+      Option.iter
+        (fun dg -> ignore (Mad_obs.Digest.load dg (D.digest_path h)))
+        s.digest)
+    session;
+  let timeline = Mad_obs.Timeline.active () in
+  Option.iter
+    (fun tl -> ignore (Mad_obs.Timeline.load tl (D.timeline_path h)))
+    timeline;
+  { h; session; timeline }
+
+let save_side side =
+  let module D = Mad_durable.Durable in
+  Option.iter
+    (fun (s : Mad_mql.Session.t) ->
+      ignore (Prima.Adaptive.save_session s (D.stats_path side.h));
+      Option.iter
+        (fun dg -> Mad_obs.Digest.save dg (D.digest_path side.h))
+        s.digest)
+    side.session;
+  Option.iter
+    (fun tl -> Mad_obs.Timeline.save tl (D.timeline_path side.h))
+    side.timeline
+
+(** Run [f session side] against either a transient session over a
     built-in database or, with [--data], a durable one: recovery on
-    open, statement-level group commit, and the adaptive catalog and
-    workload digest loaded from (and saved back to) the directory's
-    [stats.mad] / [digest.mad].  Every CLI session records a workload
-    digest ([madql digest], repl [:digest]). *)
+    open, statement-level group commit, and the side state loaded from
+    (and saved back to) the directory.  Every CLI session records a
+    workload digest ([madql digest], repl [:digest]). *)
 let with_session ?obs db_name data f =
   match data with
   | None ->
@@ -100,31 +139,14 @@ let with_session ?obs db_name data f =
       ~finally:(fun () -> Mad_durable.Durable.close h)
       (fun () ->
         let session = Mad_mql.Session.create ?obs (Mad_durable.Durable.db h) in
-        let dg = Mad_mql.Session.enable_digest session in
+        ignore (Mad_mql.Session.enable_digest session);
         ignore
           (Mad_mql.Session.add_on_commit session (fun () ->
                Mad_durable.Durable.commit h));
-        ignore
-          (Prima.Adaptive.load_session session (Mad_durable.Durable.stats_path h));
-        ignore (Mad_obs.Digest.load dg (Mad_durable.Durable.digest_path h));
-        (* when a timeline is live (MAD_OBS_TICK or a timeline-aware
-           subcommand), its frames and probe baselines persist beside
-           the WAL as timeline.mad *)
-        (match Mad_obs.Timeline.active () with
-         | Some tl ->
-           ignore (Mad_obs.Timeline.load tl (Mad_durable.Durable.timeline_path h))
-         | None -> ());
+        let side = load_side h (Some session) in
         Fun.protect
-          ~finally:(fun () ->
-            ignore
-              (Prima.Adaptive.save_session session
-                 (Mad_durable.Durable.stats_path h));
-            Mad_obs.Digest.save dg (Mad_durable.Durable.digest_path h);
-            match Mad_obs.Timeline.active () with
-            | Some tl ->
-              Mad_obs.Timeline.save tl (Mad_durable.Durable.timeline_path h)
-            | None -> ())
-          (fun () -> f session (Some h)))
+          ~finally:(fun () -> save_side side)
+          (fun () -> f session (Some side)))
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder dumps                                                *)
@@ -168,11 +190,11 @@ let pp_health ppf tl =
 let repl db_name data slow =
   handle @@ fun () ->
   apply_slow slow;
-  with_session db_name data @@ fun session durable ->
+  with_session db_name data @@ fun session side ->
   let db = session.Mad_mql.Session.db in
-  (match durable with
+  (match side with
    | None -> Format.printf "madql: %s loaded (%a)@." db_name Database.pp_summary db
-   | Some h ->
+   | Some { h; _ } ->
      Format.printf "madql: %s durable in %s (%a; %a)@." db_name
        (Mad_durable.Durable.dir h) Database.pp_summary db
        Mad_durable.Durable.pp_recovery
@@ -236,16 +258,13 @@ let repl db_name data slow =
         loop ()
       end
       else if String.equal trimmed ":save" then begin
-        (match durable with
+        (match side with
          | None -> Format.printf "not a durable session (run with --data DIR)@."
-         | Some h ->
-           Mad_durable.Durable.snapshot h;
-           let stats_saved =
-             Prima.Adaptive.save_session session (Mad_durable.Durable.stats_path h)
-           in
-           Format.printf "snapshot rolled in %s%s@."
-             (Mad_durable.Durable.dir h)
-             (if stats_saved then " (learned catalog saved)" else ""));
+         | Some side ->
+           Mad_durable.Durable.snapshot side.h;
+           save_side side;
+           Format.printf "snapshot rolled in %s (side files saved)@."
+             (Mad_durable.Durable.dir side.h));
         loop ()
       end
       else if String.equal trimmed ":trace"
@@ -1037,7 +1056,7 @@ let serve db_name data port host workers max_pending idle slow trace =
   (* the serve.* metrics and the coordinator's serve.group.* land here;
      this registry is what the Stats request exposes *)
   let obs = Mad_obs.Obs.create () in
-  let run_server srv =
+  let run_server side srv =
     let stop_signal _ = Mad_serve.Serve.request_stop srv in
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal);
@@ -1054,18 +1073,11 @@ let serve db_name data port host workers max_pending idle slow trace =
     Mad_serve.Serve.stop srv;
     Format.eprintf "server stopped (%d connection(s) served)@."
       (Mad_serve.Serve.connections srv);
-    (match Mad_obs.Timeline.active () with
-     | Some tl -> (
-       match data with
-       | Some dirname ->
-         Mad_obs.Timeline.save tl
-           (Mad_durable.Durable.timeline_path_of_dir dirname)
-       | None -> ())
-     | None -> ());
+    Option.iter save_side side;
     match trace with Some path -> write_trace path | None -> ()
   in
   match data with
-  | None -> run_server (Mad_serve.Serve.start ~obs ~config (load_db db_name))
+  | None -> run_server None (Mad_serve.Serve.start ~obs ~config (load_db db_name))
   | Some dirname ->
     (* no snapshot_every: auto-rolling truncates the WAL mid-stream,
        which would break the coordinator's monotone positions — the
@@ -1078,7 +1090,10 @@ let serve db_name data port host workers max_pending idle slow trace =
     Fun.protect
       ~finally:(fun () -> Mad_durable.Durable.close ~snapshot:true h)
       (fun () ->
-        run_server
+        (* connections keep their own sessions: the side state a server
+           persists is the timeline's *)
+        let side = load_side h None in
+        run_server (Some side)
           (Mad_serve.Serve.start ~obs ~config ~durable:h
              (Mad_durable.Durable.db h)))
 
@@ -1176,13 +1191,13 @@ let connect_trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write a merged client/server Chrome trace: one slice per \
-           request as the client saw it, and — against a wire v2 server \
-           — the server-reported phase breakdown (lock, exec, wal, \
-           fsync, other) nested inside each request's window.")
+           request as the client saw it, and the server-reported phase \
+           breakdown (lock, exec, wal, fsync, other) nested inside each \
+           request's window.")
 
 (* One traced request as the client observed it: the statement, its
    client-side window (ticks + duration), and the server-reported phase
-   breakdown (µs) when the connection negotiated wire v2. *)
+   breakdown (µs). *)
 type traced_req = {
   tr_name : string;
   tr_ticks : int;

@@ -1,15 +1,17 @@
 (** The durability engine: snapshot + write-ahead log + recovery.
 
-    A data directory holds at most three files:
+    A data directory holds:
     {v
     DIR/snapshot.mad   latest snapshot (Serialize dump)
     DIR/wal.log        checksummed log of DML since that snapshot
-    DIR/stats.mad      learned optimizer catalog (written by PRIMA)
+    DIR/stats.mad      learned optimizer catalog (advisory, PRIMA)
+    DIR/digest.mad     workload digest (advisory)
+    DIR/timeline.mad   telemetry timeline (advisory)
     v}
     Every store mutation of an opened database is appended to the WAL
     as one logical record {e after} it succeeds in memory (the journal
     hook of {!Database.set_journal}); a snapshot rewrites
-    [snapshot.mad] atomically (temp file + fsync + rename) and
+    [snapshot.mad] atomically ({!Serialize.write_atomically}) and
     truncates the log.  {!open_dir} is the recovery path: load the
     snapshot, replay the WAL, tolerate a torn final record, and
     re-verify the MAD model's structural invariants ({!Integrity})
@@ -81,23 +83,6 @@ let rec mkdirs dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* write [text] to [path] atomically: temp file in the same directory,
-   fsync, rename over the target *)
-let write_atomically path text =
-  let tmp = path ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let b = Bytes.of_string text in
-      let n = Unix.write fd b 0 (Bytes.length b) in
-      if n <> Bytes.length b then
-        Err.failf "%s: short write (%d of %d bytes)" tmp n (Bytes.length b);
-      Unix.fsync fd);
-  Sys.rename tmp path
-
 (* --- recovery ------------------------------------------------------- *)
 
 let replay_wal db dirname =
@@ -140,7 +125,7 @@ let snapshot t =
   check_open t;
   let t0 = Mad_obs.Monotonic.ticks () in
   let records = t.wal_records in
-  write_atomically (snapshot_path t.dir) (Serialize.dump t.db);
+  Serialize.write_atomically (snapshot_path t.dir) (Serialize.dump t.db);
   restart_wal t;
   Mad_obs.Recorder.note Snapshot_build
     ~dur_ns:(Mad_obs.Monotonic.ticks () - t0)
@@ -183,7 +168,7 @@ let open_dir ?(obs = Mad_obs.Obs.noop) ?(sync = false) ?snapshot_every ?faults
       | Some d when fresh -> (Database.copy d, false)
       | Some _ | None -> (Database.create (), false)
   in
-  if fresh then write_atomically snap (Serialize.dump db);
+  if fresh then Serialize.write_atomically snap (Serialize.dump db);
   let payloads, torn = replay_wal db dirname in
   let replayed = List.length payloads in
   verify dirname db;

@@ -17,9 +17,10 @@
     {!Recorder.Plan_switch} event, so a regression introduced by
     learned statistics is visible in both the metrics and the trace.
 
-    Persistence is the line-oriented [digest.mad] format (same family
-    as the adaptive catalog's [stats.mad]); loading {e merges} into the
-    live store so workload history accumulates across restarts. *)
+    Persistence is the advisory [digest.mad] file in the [.mad] word
+    syntax (like the adaptive catalog's [stats.mad]); loading {e
+    merges} into the live store so workload history accumulates across
+    restarts. *)
 
 let hex h = Printf.sprintf "%x" (h land max_int)
 
@@ -274,18 +275,19 @@ let to_json ?by ?top:k t =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Persistence: the line-oriented [digest.mad] format                   *)
+(* Persistence: [digest.mad], in the .mad word syntax                  *)
 
-let format_header = "# MAD statement digest v1"
+module Serialize = Mad_store.Serialize
+
+let header = "# MAD statement digest v2"
 
 let to_string t =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf format_header;
-  Buffer.add_char buf '\n';
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  line "%s" header;
   List.iter
     (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "fp %s %s\n" (hex e.en_fp) (String.escaped e.en_text));
+      line "fp %s %s" (hex e.en_fp) (Serialize.quote e.en_text);
       List.iter
         (fun r ->
           let h = r.pr_lat in
@@ -294,116 +296,60 @@ let to_string t =
               (List.init (Array.length h.Metric.counts) (fun i ->
                    string_of_int (Metric.bucket_count h i)))
           in
-          Buffer.add_string buf
-            (Printf.sprintf "row %s %s %d %d %d %.17g %d %.17g %d %.17g %.17g %s\n"
-               (hex e.en_fp) (hex r.pr_plan) (Metric.value r.pr_calls)
-               (Metric.value r.pr_errors) (Metric.value r.pr_rows)
-               r.pr_drift_sum r.pr_drift_n (Metric.sum h) (Metric.count h)
-               (Metric.min_raw h) (Metric.max_raw h) counts))
+          line "row %s %s %d %d %d %.17g %d %.17g %d %.17g %.17g %s"
+            (hex e.en_fp) (hex r.pr_plan) (Metric.value r.pr_calls)
+            (Metric.value r.pr_errors) (Metric.value r.pr_rows)
+            r.pr_drift_sum r.pr_drift_n (Metric.sum h) (Metric.count h)
+            (Metric.min_raw h) (Metric.max_raw h) counts)
         e.en_rows;
       if e.en_plan >= 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "cur %s %s %d\n" (hex e.en_fp) (hex e.en_plan)
-             e.en_switches))
+        line "cur %s %s %d" (hex e.en_fp) (hex e.en_plan) e.en_switches)
     (entries t);
   Buffer.contents buf
 
-let split_ws s =
-  String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
+let hex_int s = int_of_string ("0x" ^ s)
 
-let hex_int s = int_of_string_opt ("0x" ^ s)
+let stored t fp =
+  match Hashtbl.find_opt t.entries (hex_int fp) with
+  | Some e -> e
+  | None -> failwith ("no fp record for " ^ fp)
 
-(** Merge a serialized digest into [t].  Tolerant of malformed lines
-    (skipped); [Error] only on a wrong or missing header. *)
-let merge_string t s =
-  let lines = String.split_on_char '\n' s in
-  match lines with
-  | header :: rest when String.trim header = format_header ->
-    List.iter
-      (fun line ->
-        match split_ws line with
-        | "fp" :: fp :: text_words -> begin
-          match hex_int fp with
-          | Some fp ->
-            let text =
-              try Scanf.unescaped (String.concat " " text_words)
-              with Scanf.Scan_failure _ | Failure _ ->
-                String.concat " " text_words
-            in
-            ignore (entry t ~fp ~text)
-          | None -> ()
-        end
-        | [ "row"; fp; plan; calls; errors; rows; dsum; dn; sum; n; mn; mx;
-            counts ] -> begin
-          match (hex_int fp, hex_int plan) with
-          | Some fp, Some plan -> begin
-            match Hashtbl.find_opt t.entries fp with
-            | None -> ()
-            | Some e ->
-              let r = prow t e plan in
-              let int_of s = Option.value ~default:0 (int_of_string_opt s) in
-              let flt_of s =
-                Option.value ~default:0.0 (float_of_string_opt s)
-              in
-              Metric.add r.pr_calls (int_of calls);
-              Metric.add r.pr_errors (int_of errors);
-              Metric.add r.pr_rows (int_of rows);
-              r.pr_drift_sum <- r.pr_drift_sum +. flt_of dsum;
-              r.pr_drift_n <- r.pr_drift_n + int_of dn;
-              let bucket_counts =
-                String.split_on_char ',' counts
-                |> List.map int_of |> Array.of_list
-              in
-              Metric.absorb r.pr_lat ~counts:bucket_counts ~sum:(flt_of sum)
-                ~n:(int_of n) ~min_v:(flt_of mn) ~max_v:(flt_of mx)
-          end
-          | _ -> ()
-        end
-        | [ "cur"; fp; plan; switches ] -> begin
-          match (hex_int fp, hex_int plan) with
-          | Some fp, Some plan -> begin
-            match Hashtbl.find_opt t.entries fp with
-            | Some e ->
-              (* only adopt the stored current plan while the live
-                 entry has not executed yet this session — a live plan
-                 observation outranks history *)
-              if e.en_plan < 0 then e.en_plan <- plan;
-              e.en_switches <-
-                e.en_switches
-                + Option.value ~default:0 (int_of_string_opt switches)
-            | None -> ()
-          end
-          | _ -> ()
-        end
-        | [] | _ -> ())
-      rest;
-    Ok ()
-  | header :: _ ->
-    Error (Printf.sprintf "digest: unrecognized header %S" (String.trim header))
-  | [] -> Error "digest: empty input"
-
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> try close_out oc with Sys_error _ -> ())
-    (fun () -> output_string oc (to_string t))
-
-(** Merge [path] into [t]; [false] when the file does not exist.
-    A malformed file is reported on stderr and otherwise ignored. *)
-let load t path =
-  if not (Sys.file_exists path) then false
-  else begin
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+let merge_record t = function
+  | [ "fp"; fp; text ] ->
+    ignore (entry t ~fp:(hex_int fp) ~text:(Serialize.unquote text))
+  | [ "row"; fp; plan; calls; errors; rows; dsum; dn; sum; n; mn; mx; counts ]
+    ->
+    let e = stored t fp in
+    let bucket_counts =
+      String.split_on_char ',' counts |> List.map int_of_string |> Array.of_list
     in
-    (match merge_string t s with
-     | Ok () -> ()
-     | Error e -> Printf.eprintf "mad_obs: %s: %s\n%!" path e);
-    true
-  end
+    let sum = float_of_string sum and dsum = float_of_string dsum in
+    let n = int_of_string n and dn = int_of_string dn in
+    let calls = int_of_string calls and errors = int_of_string errors in
+    let rows = int_of_string rows in
+    let min_v = float_of_string mn and max_v = float_of_string mx in
+    let r = prow t e (hex_int plan) in
+    Metric.add r.pr_calls calls;
+    Metric.add r.pr_errors errors;
+    Metric.add r.pr_rows rows;
+    r.pr_drift_sum <- r.pr_drift_sum +. dsum;
+    r.pr_drift_n <- r.pr_drift_n + dn;
+    Metric.absorb r.pr_lat ~counts:bucket_counts ~sum ~n ~min_v ~max_v
+  | [ "cur"; fp; plan; switches ] ->
+    let e = stored t fp in
+    let plan = hex_int plan and switches = int_of_string switches in
+    (* only adopt the stored current plan while the live entry has not
+       executed yet this session — a live plan observation outranks
+       history *)
+    if e.en_plan < 0 then e.en_plan <- plan;
+    e.en_switches <- e.en_switches + switches
+  | words -> failwith ("unknown record " ^ String.concat " " words)
+
+let merge_string ~warn t s =
+  Serialize.read_advisory ~file:"digest.mad" ~header ~warn s (merge_record t)
+
+let save t path = Serialize.write_atomically path (to_string t)
+let load t path = Serialize.load_advisory ~header path (merge_record t)
 
 (* ------------------------------------------------------------------ *)
 (* Slow-query log                                                       *)

@@ -80,17 +80,21 @@ val hex : int -> string
 (** {1 Persistence ([digest.mad])} *)
 
 val to_string : t -> string
-(** Serialize in the line-oriented [digest.mad] format. *)
+(** Serialize as [digest.mad] (the [.mad] word syntax, statement text
+    quoted). *)
 
-val merge_string : t -> string -> (unit, string) result
+val merge_string : warn:(string -> unit) -> t -> string -> bool
 (** Merge a serialized digest into the live store (counts add,
-    histograms absorb).  Malformed lines are skipped; [Error] only on
-    a bad header. *)
+    histograms absorb) under {!Mad_store.Serialize.read_advisory}'s
+    policy: [false] on a bad header, malformed records skipped with
+    one warning. *)
 
 val save : t -> string -> unit
+(** Write atomically. *)
 
 val load : t -> string -> bool
-(** Merge the digest file at [path] into [t]; [false] when absent. *)
+(** Merge the digest file at [path] into [t]; [false] when absent or
+    ignored. *)
 
 (** {1 Slow-query log}
 

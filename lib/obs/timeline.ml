@@ -707,189 +707,99 @@ let pp_dashboard ppf t =
          ps)
 
 (* ------------------------------------------------------------------ *)
-(* Persistence: the line-oriented [timeline.mad] format                 *)
+(* Persistence: [timeline.mad], in the .mad word syntax                *)
 
-let format_header = "# MAD timeline v1"
+module Serialize = Mad_store.Serialize
 
-(* the format uses space, comma and equals as structural separators,
-   so names and label keys/values percent-encode those (plus '%' and
-   line breaks); everything else — typically dotted metric names and
-   hex fingerprints — stays readable *)
-let enc_char c =
-  match c with
-  | '%' | ' ' | ',' | '=' | '\n' | '\r' | '\t' -> true
-  | _ -> false
+let header = "# MAD timeline v2"
 
-let enc_field s =
-  if not (String.exists enc_char s) then s
-  else begin
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        if enc_char c then
-          Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c))
-        else Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  end
-
-let dec_field s =
-  if not (String.contains s '%') then s
-  else begin
-    let buf = Buffer.create (String.length s) in
-    let n = String.length s in
-    let i = ref 0 in
-    while !i < n do
-      (if s.[!i] = '%' && !i + 2 < n then
-         match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
-         | Some c when c >= 0 && c < 256 ->
-           Buffer.add_char buf (Char.chr c);
-           i := !i + 3
-         | Some _ | None ->
-           Buffer.add_char buf s.[!i];
-           incr i
-       else begin
-         Buffer.add_char buf s.[!i];
-         incr i
-       end)
-    done;
-    Buffer.contents buf
-  end
-
-(* "-" marks an empty probe label; a literal "-" label encodes its
-   dash so the two stay distinguishable *)
-let label_tok l = if l = "" then "-" else if l = "-" then "%2D" else enc_field l
-
+(* names, label keys and label values are quoted strings, so any
+   registered name or label round-trips; a point's labels follow its
+   name as alternating key and value words *)
 let to_string t =
   with_lock t @@ fun () ->
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf format_header;
-  Buffer.add_char buf '\n';
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  let q = Serialize.quote in
+  line "%s" header;
   List.iter
     (fun f ->
-      Buffer.add_string buf
-        (Printf.sprintf "frame %d %.17g %d %d\n" f.f_seq f.f_unix f.f_ticks
-           (Array.length f.f_points));
+      line "frame %d %.17g %d %d" f.f_seq f.f_unix f.f_ticks
+        (Array.length f.f_points);
       Array.iter
         (fun p ->
-          Buffer.add_string buf
-            (Printf.sprintf "pt %s %.17g %.17g %s%s\n" (kind_tag p.p_kind)
-               p.p_value p.p_sum (enc_field p.p_name)
-               (match p.p_labels with
-                | [] -> ""
-                | l ->
-                  " "
-                  ^ String.concat ","
-                      (List.map
-                         (fun (k, v) -> enc_field k ^ "=" ^ enc_field v)
-                         l))))
+          line "pt %s %.17g %.17g %s%s" (kind_tag p.p_kind) p.p_value p.p_sum
+            (q p.p_name)
+            (String.concat ""
+               (List.map (fun (k, v) -> " " ^ q k ^ " " ^ q v) p.p_labels)))
         f.f_points)
     (frames_u t);
   List.iter
     (fun p ->
-      Buffer.add_string buf
-        (Printf.sprintf "probe %s %s %.17g %d %d\n"
-           (enc_field p.Probe.p_probe)
-           (label_tok p.Probe.p_label)
-           p.Probe.p_baseline p.Probe.p_fired
-           (if Probe.firing p then 1 else 0)))
+      line "probe %s %s %.17g %d %d" (q p.Probe.p_probe) (q p.Probe.p_label)
+        p.Probe.p_baseline p.Probe.p_fired
+        (if Probe.firing p then 1 else 0))
     (probes_u t);
   Buffer.contents buf
 
-let split_ws s = String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
+let rec labels = function
+  | [] -> []
+  | k :: v :: rest -> (Serialize.unquote k, Serialize.unquote v) :: labels rest
+  | [ w ] -> failwith ("label key without a value: " ^ w)
 
-let parse_labels s =
-  String.split_on_char ',' s
-  |> List.filter_map (fun kv ->
-         match String.index_opt kv '=' with
-         | Some i ->
-           Some
-             ( dec_field (String.sub kv 0 i),
-               dec_field (String.sub kv (i + 1) (String.length kv - i - 1)) )
-         | None -> None)
-
-let merge_string t s =
-  let lines = String.split_on_char '\n' s in
-  match lines with
-  | header :: rest when String.trim header = format_header ->
-    with_lock t @@ fun () ->
-    let flt s = Option.value ~default:0.0 (float_of_string_opt s) in
-    let int_of s = Option.value ~default:0 (int_of_string_opt s) in
-    (* points accumulate under the open frame header until the next
-       frame (or a non-point line) flushes it *)
-    let pending : (int * float * int) option ref = ref None in
-    let pts = ref [] in
-    let flush () =
-      match !pending with
-      | Some (seq, unix, ticks) ->
+(* points accumulate under the open frame until the next frame, probe
+   or the end of the text pushes it *)
+let merge t read =
+  with_lock t @@ fun () ->
+  let pending = ref None and pts = ref [] in
+  let flush () =
+    Option.iter
+      (fun (f_seq, f_unix, f_ticks) ->
         push_raw t
-          {
-            f_seq = seq;
-            f_unix = unix;
-            f_ticks = ticks;
-            f_points = Array.of_list (List.rev !pts);
-          };
-        pending := None;
-        pts := []
-      | None -> ()
-    in
-    List.iter
-      (fun line ->
-        match split_ws line with
-        | [ "frame"; seq; unix; ticks; _n ] ->
-          flush ();
-          pending := Some (int_of seq, flt unix, int_of ticks)
-        | "pt" :: kind :: value :: sum :: name :: rest
-          when !pending <> None ->
-          let kind =
-            match kind with "c" -> Counter | "h" -> Hist | _ -> Gauge
-          in
-          let labels =
-            match rest with [ l ] -> parse_labels l | _ -> []
-          in
-          pts :=
-            {
-              p_name = dec_field name;
-              p_labels = labels;
-              p_kind = kind;
-              p_value = flt value;
-              p_sum = flt sum;
-            }
-            :: !pts
-        | [ "probe"; probe; label; baseline; fired; firing ] ->
-          flush ();
-          let probe = dec_field probe in
-          let label = if label = "-" then "" else dec_field label in
-          Probe.restore
-            (ensure_probe t ~probe ~label)
-            ~baseline:(flt baseline) ~fired:(int_of fired)
-            ~firing:(int_of firing <> 0)
-        | [] | _ -> flush ())
-      rest;
-    flush ();
-    Result.Ok ()
-  | header :: _ ->
-    Result.Error
-      (Printf.sprintf "timeline: unrecognized header %S" (String.trim header))
-  | [] -> Result.Error "timeline: empty input"
+          { f_seq; f_unix; f_ticks; f_points = Array.of_list (List.rev !pts) })
+      !pending;
+    pending := None;
+    pts := []
+  in
+  let record = function
+    | [ "frame"; seq; unix; ticks; _n ] ->
+      let f =
+        (int_of_string seq, float_of_string unix, int_of_string ticks)
+      in
+      flush ();
+      pending := Some f
+    | "pt" :: kind :: value :: sum :: name :: rest when !pending <> None ->
+      let p_kind =
+        match kind with
+        | "c" -> Counter
+        | "g" -> Gauge
+        | "h" -> Hist
+        | k -> failwith ("unknown point kind " ^ k)
+      in
+      let p =
+        {
+          p_name = Serialize.unquote name;
+          p_labels = labels rest;
+          p_kind;
+          p_value = float_of_string value;
+          p_sum = float_of_string sum;
+        }
+      in
+      pts := p :: !pts
+    | [ "probe"; probe; label; baseline; fired; firing ] ->
+      let probe = Serialize.unquote probe and label = Serialize.unquote label in
+      let baseline = float_of_string baseline and fired = int_of_string fired in
+      let firing = int_of_string firing <> 0 in
+      flush ();
+      Probe.restore (ensure_probe t ~probe ~label) ~baseline ~fired ~firing
+    | words -> failwith ("unknown record " ^ String.concat " " words)
+  in
+  let read_ok = read record in
+  flush ();
+  read_ok
 
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> try close_out oc with Sys_error _ -> ())
-    (fun () -> output_string oc (to_string t))
+let merge_string ~warn t s =
+  merge t (Serialize.read_advisory ~file:"timeline.mad" ~header ~warn s)
 
-let load t path =
-  if not (Sys.file_exists path) then false
-  else begin
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    (match merge_string t s with
-     | Result.Ok () -> ()
-     | Result.Error e -> Printf.eprintf "mad_obs: %s: %s\n%!" path e);
-    true
-  end
+let save t path = Serialize.write_atomically path (to_string t)
+let load t path = merge t (Serialize.load_advisory ~header path)

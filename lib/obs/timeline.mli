@@ -171,18 +171,19 @@ val pp_dashboard : Format.formatter -> t -> unit
 (** {1 Persistence ([timeline.mad])} *)
 
 val to_string : t -> string
-(** Metric names and label keys/values percent-encode the format's
-    structural characters (space, comma, equals, '%', line breaks), so
-    any registered name/label round-trips through
-    {!merge_string}. *)
+(** Serialize as [timeline.mad] in the [.mad] word syntax: metric
+    names and label keys/values are quoted strings, so any registered
+    name/label round-trips through {!merge_string}. *)
 
-val merge_string : t -> string -> (unit, string) result
+val merge_string : warn:(string -> unit) -> t -> string -> bool
 (** Merge serialized frames (appended behind any live frames, ring
-    semantics apply) and probe baselines into [t].  Malformed lines
-    are skipped; [Error] only on a bad header. *)
+    semantics apply) and probe baselines into [t] under
+    {!Mad_store.Serialize.read_advisory}'s policy: [false] on a bad
+    header, malformed records skipped with one warning. *)
 
 val save : t -> string -> unit
+(** Write atomically. *)
 
 val load : t -> string -> bool
-(** Merge the timeline file at [path] into [t]; [false] when
-    absent. *)
+(** Merge the timeline file at [path] into [t]; [false] when absent
+    or ignored. *)

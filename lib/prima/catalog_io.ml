@@ -1,152 +1,102 @@
 (** Persistence of the learned statistics catalog ([stats.mad]).
 
-    A {!Stats.t} is five string-keyed maps of scalars, so the format
-    is line-oriented like the rest of the system's files:
+    A {!Stats.t} is five string-keyed maps of scalars, written in the
+    word syntax of the rest of the system's files ({!Serialize}):
     {v
-    # MAD adaptive catalog v1
+    # MAD adaptive catalog v2
     count state 27
     distinct state.name 27
-    link state-area 110 4.074 1.0
+    link state-area 110 4.074 1
     learned state-area 3.9 - 3.2 -
-    sel 0.037 state|state.name = 'SP'
+    sel 'state|state.name = ''SP''' 0.037
     v}
     Floats are printed with ["%.17g"] (lossless round-trip); absent
-    learned factors are [-].  A [sel] key is the tail of its line (it
-    embeds the rendered predicate, spaces and quotes included).
+    learned factors are [-]; a [sel] key embeds the rendered predicate,
+    so it is a quoted string.
 
     The durability engine stores this file beside the write-ahead log
     ([Durable.stats_path]), which is what lets a session's optimizer
     start from the estimates the previous session converged onto,
-    instead of from the static catalog. *)
+    instead of from the static catalog.  The file is advisory: a bad
+    header ignores it and a malformed record is skipped. *)
 
 open Mad_store
 module Smap = Stats.Smap
 
-let float_str f = Printf.sprintf "%.17g" f
-
-let opt_float_str = function None -> "-" | Some f -> float_str f
+let header = "# MAD adaptive catalog v2"
+let flt = Printf.sprintf "%.17g"
+let opt_flt = function None -> "-" | Some f -> flt f
 
 let to_string (s : Stats.t) =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "# MAD adaptive catalog v1\n";
-  Smap.iter
-    (fun k n -> Buffer.add_string buf (Printf.sprintf "count %s %d\n" k n))
-    s.Stats.atom_counts;
-  Smap.iter
-    (fun k n -> Buffer.add_string buf (Printf.sprintf "distinct %s %d\n" k n))
-    s.Stats.distinct;
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  line "%s" header;
+  Smap.iter (line "count %s %d") s.Stats.atom_counts;
+  Smap.iter (line "distinct %s %d") s.Stats.distinct;
   Smap.iter
     (fun k (ls : Stats.link_stat) ->
-      Buffer.add_string buf
-        (Printf.sprintf "link %s %d %s %s\n" k ls.Stats.pairs
-           (float_str ls.Stats.fanout_fwd)
-           (float_str ls.Stats.fanout_bwd)))
+      line "link %s %d %s %s" k ls.Stats.pairs (flt ls.Stats.fanout_fwd)
+        (flt ls.Stats.fanout_bwd))
     s.Stats.link_stats;
   Smap.iter
     (fun k (l : Stats.learned_link) ->
-      Buffer.add_string buf
-        (Printf.sprintf "learned %s %s %s %s %s\n" k
-           (opt_float_str l.Stats.lf_fwd)
-           (opt_float_str l.Stats.lf_bwd)
-           (opt_float_str l.Stats.lr_fwd)
-           (opt_float_str l.Stats.lr_bwd)))
+      line "learned %s %s %s %s %s" k (opt_flt l.Stats.lf_fwd)
+        (opt_flt l.Stats.lf_bwd) (opt_flt l.Stats.lr_fwd)
+        (opt_flt l.Stats.lr_bwd))
     s.Stats.learned;
   Smap.iter
-    (fun k sel ->
-      Buffer.add_string buf (Printf.sprintf "sel %s %s\n" (float_str sel) k))
+    (fun k sel -> line "sel %s %s" (Serialize.quote k) (flt sel))
     s.Stats.learned_sel;
   Buffer.contents buf
 
-let save (s : Stats.t) path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string s))
+let save s path = Serialize.write_atomically path (to_string s)
 
-(* --- reading -------------------------------------------------------- *)
+let empty =
+  {
+    Stats.atom_counts = Smap.empty;
+    distinct = Smap.empty;
+    link_stats = Smap.empty;
+    learned = Smap.empty;
+    learned_sel = Smap.empty;
+  }
 
-let parse_int file lineno s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> Err.failf "%s: line %d: bad integer %s" file lineno s
+let opt_float = function "-" -> None | w -> Some (float_of_string w)
 
-let parse_float file lineno s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> Err.failf "%s: line %d: bad float %s" file lineno s
+let add (s : Stats.t) = function
+  | [ "count"; k; n ] ->
+    { s with atom_counts = Smap.add k (int_of_string n) s.atom_counts }
+  | [ "distinct"; k; n ] ->
+    { s with distinct = Smap.add k (int_of_string n) s.distinct }
+  | [ "link"; k; pairs; ff; fb ] ->
+    let ls =
+      {
+        Stats.pairs = int_of_string pairs;
+        fanout_fwd = float_of_string ff;
+        fanout_bwd = float_of_string fb;
+      }
+    in
+    { s with link_stats = Smap.add k ls s.link_stats }
+  | [ "learned"; k; ff; fb; rf; rb ] ->
+    let l =
+      {
+        Stats.lf_fwd = opt_float ff;
+        lf_bwd = opt_float fb;
+        lr_fwd = opt_float rf;
+        lr_bwd = opt_float rb;
+      }
+    in
+    { s with learned = Smap.add k l s.learned }
+  | [ "sel"; k; sel ] ->
+    { s with
+      learned_sel =
+        Smap.add (Serialize.unquote k) (float_of_string sel) s.learned_sel }
+  | words -> Err.failf "unknown record %s" (String.concat " " words)
 
-let parse_opt_float file lineno = function
-  | "-" -> None
-  | s -> Some (parse_float file lineno s)
+let read read_with =
+  let s = ref empty in
+  if read_with (fun words -> s := add !s words) then Some !s else None
 
-let of_string ?(file = "stats.mad") text : Stats.t =
-  let empty =
-    {
-      Stats.atom_counts = Smap.empty;
-      distinct = Smap.empty;
-      link_stats = Smap.empty;
-      learned = Smap.empty;
-      learned_sel = Smap.empty;
-    }
-  in
-  let lines = String.split_on_char '\n' text in
-  List.fold_left
-    (fun (s, lineno) line ->
-      let lineno = lineno + 1 in
-      let line = String.trim line in
-      let s =
-        if line = "" || line.[0] = '#' then s
-        else
-          match String.split_on_char ' ' line with
-          | [ "count"; k; n ] ->
-            { s with
-              Stats.atom_counts =
-                Smap.add k (parse_int file lineno n) s.Stats.atom_counts }
-          | [ "distinct"; k; n ] ->
-            { s with
-              Stats.distinct =
-                Smap.add k (parse_int file lineno n) s.Stats.distinct }
-          | [ "link"; k; pairs; ff; fb ] ->
-            { s with
-              Stats.link_stats =
-                Smap.add k
-                  {
-                    Stats.pairs = parse_int file lineno pairs;
-                    fanout_fwd = parse_float file lineno ff;
-                    fanout_bwd = parse_float file lineno fb;
-                  }
-                  s.Stats.link_stats }
-          | [ "learned"; k; ff; fb; rf; rb ] ->
-            { s with
-              Stats.learned =
-                Smap.add k
-                  {
-                    Stats.lf_fwd = parse_opt_float file lineno ff;
-                    lf_bwd = parse_opt_float file lineno fb;
-                    lr_fwd = parse_opt_float file lineno rf;
-                    lr_bwd = parse_opt_float file lineno rb;
-                  }
-                  s.Stats.learned }
-          | "sel" :: sel :: (_ :: _ as key_words) ->
-            { s with
-              Stats.learned_sel =
-                Smap.add
-                  (String.concat " " key_words)
-                  (parse_float file lineno sel)
-                  s.Stats.learned_sel }
-          | word :: _ ->
-            Err.failf "%s: line %d: unknown directive %s" file lineno word
-          | [] -> s
-      in
-      (s, lineno))
-    (empty, 0) lines
-  |> fst
+let of_string ?(file = "stats.mad") ~warn text =
+  read (Serialize.read_advisory ~file ~header ~warn text)
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      of_string ~file:(Filename.basename path) (In_channel.input_all ic))
-
-let load_opt path = if Sys.file_exists path then Some (load path) else None
+let load_opt path = read (Serialize.load_advisory ~header path)

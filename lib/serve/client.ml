@@ -4,11 +4,8 @@ type t = {
   fd : Unix.file_descr;
   max_frame : int;
   timeout : float;
-  version : int;  (** negotiated protocol version *)
   mutable closed : bool;
 }
-
-let version t = t.version
 
 type connect_error =
   | Busy
@@ -33,7 +30,11 @@ let deadline_wait timeout =
   let t0 = Unix.gettimeofday () in
   fun ~started:_ -> Unix.gettimeofday () -. t0 < timeout
 
-let rec attempt ~auto ~version ~max_frame ~timeout ~host port =
+let connect ?(max_frame = Wire.default_max_frame) ?(timeout = 30.0) ~host
+    port =
+  (* same rationale as the server: a dead peer is an EPIPE, not a
+     process death *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let addr = resolve host in
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   let fail e =
@@ -45,22 +46,11 @@ let rec attempt ~auto ~version ~max_frame ~timeout ~host port =
     (try Unix.setsockopt fd Unix.TCP_NODELAY true
      with Unix.Unix_error _ -> ());
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25;
-    Wire.write_client_hello fd ~version;
+    Wire.write_client_hello fd ~version:Wire.version;
     Wire.read_server_hello ~keep_waiting:(deadline_wait timeout) fd
   with
-  | Wire.Msg (v, Wire.H_ok) ->
-    (* the server echoes the negotiated version; clamp against what we
-       proposed so a confused peer cannot upgrade us *)
-    let negotiated = min version (max Wire.min_version v) in
-    Ok { fd; max_frame; timeout; version = negotiated; closed = false }
-  | Wire.Msg (v, Wire.H_version) ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    (* an older server refuses our proposal and names its own version:
-       transparently reconnect speaking that (once, and only when the
-       caller left the version to us) *)
-    if auto && v >= Wire.min_version && v < version then
-      attempt ~auto:false ~version:v ~max_frame ~timeout ~host port
-    else Error (Version_mismatch v)
+  | Wire.Msg (_, Wire.H_ok) -> Ok { fd; max_frame; timeout; closed = false }
+  | Wire.Msg (v, Wire.H_version) -> fail (Version_mismatch v)
   | Wire.Msg (_, Wire.H_busy) -> fail Busy
   | Wire.Closed | Wire.Truncated ->
     fail (Protocol "connection closed during handshake")
@@ -71,22 +61,13 @@ let rec attempt ~auto ~version ~max_frame ~timeout ~host port =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
-let connect ?version ?(max_frame = Wire.default_max_frame) ?(timeout = 30.0)
-    ~host port =
-  (* same rationale as the server: a dead peer is an EPIPE, not a
-     process death *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let auto = Option.is_none version in
-  let version = Option.value version ~default:Wire.version in
-  attempt ~auto ~version ~max_frame ~timeout ~host port
-
 let broken t msg =
   t.closed <- true;
   raise (Remote msg)
 
 let request ?meta t req =
   if t.closed then raise (Remote "connection is closed");
-  (try Wire.write_req ~version:t.version ?meta t.fd req
+  (try Wire.write_req ?meta t.fd req
    with Unix.Unix_error (e, _, _) ->
      broken t (Printf.sprintf "send failed: %s" (Unix.error_message e)));
   match
@@ -114,21 +95,17 @@ let exec t stmt = expect_result t (Wire.Exec stmt)
 let explain t stmt = expect_result t (Wire.Explain stmt)
 
 let query_traced ?(span = 0) t stmt =
-  if t.version < 2 then
-    (* a v1 server cannot report phases; degrade to a plain query *)
-    Result.map (fun r -> (r, [])) (query t stmt)
-  else
-    let meta = { Wire.want_phases = true; span } in
-    match request ~meta t (Wire.Query stmt) with
-    | Wire.Ok, payload -> begin
-      match Wire.decode_result_with_phases payload with
-      | Some (r, phases) -> Ok (r, phases)
-      | None -> broken t "malformed phase-annotated response"
-    end
-    | Wire.Error, msg -> Error msg
-    | st, _ ->
-      raise
-        (Remote (Printf.sprintf "unexpected %s response" (Wire.status_name st)))
+  let meta = { Wire.want_phases = true; span } in
+  match request ~meta t (Wire.Query stmt) with
+  | Wire.Ok, payload -> begin
+    match Wire.decode_result_with_phases payload with
+    | Some (r, phases) -> Ok (r, phases)
+    | None -> broken t "malformed phase-annotated response"
+  end
+  | Wire.Error, msg -> Error msg
+  | st, _ ->
+    raise
+      (Remote (Printf.sprintf "unexpected %s response" (Wire.status_name st)))
 
 let expect_ok t req =
   match expect_result t req with

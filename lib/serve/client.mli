@@ -17,29 +17,21 @@ exception Remote of string
     is unusable once raised (the stream cannot be resynchronized). *)
 
 val connect :
-  ?version:int ->
   ?max_frame:int ->
   ?timeout:float ->
   host:string ->
   int ->
   (t, connect_error) result
-(** TCP connect plus handshake.  When [version] is omitted the client
-    proposes {!Wire.version} and, if the server answers with a version
-    mismatch naming an {e older} version it speaks, transparently
-    reconnects once at that version — so a v2 client talks to a v1
-    server without ceremony.  Passing [version] explicitly disables
-    the downgrade (tests pass a wrong one to provoke
-    [Version_mismatch]).  [timeout] (default 30 s) bounds each
+(** TCP connect plus handshake proposing {!Wire.version}; a server
+    that speaks another version answers [Version_mismatch].
+    [timeout] (default 30 s) bounds each
     subsequent wire wait; [max_frame] caps response payloads.  Raises
     [Unix.Unix_error] only when the TCP connect itself fails
     (connection refused, unreachable). *)
 
-val version : t -> int
-(** The negotiated protocol version of this connection. *)
-
 val request : ?meta:Wire.meta -> t -> Wire.req -> Wire.status * string
-(** One round trip.  [meta] rides v2 statement requests (ignored on a
-    v1 connection).  Raises {!Remote} on transport failure. *)
+(** One round trip.  [meta] rides statement requests.  Raises
+    {!Remote} on transport failure. *)
 
 val query : t -> string -> (string, string) result
 (** Evaluate one MOL statement, rendered result or error message. *)
@@ -49,8 +41,7 @@ val query_traced :
 (** Like {!query}, but also asks the server for its per-phase timing
     breakdown ([(phase, µs)] pairs; the phases partition the server's
     request wall-clock).  [span] is this client's trace span seq,
-    recorded into the server's ring alongside the request.  On a v1
-    connection the phase list is empty. *)
+    recorded into the server's ring alongside the request. *)
 
 val exec : t -> string -> (string, string) result
 (** Evaluate one MOL statement, effect summary only. *)

@@ -299,10 +299,8 @@ let handle_request t st req =
 
 (* the request/response loop of one established connection; returns
    when the peer quits, times out, violates the protocol or the
-   server stops.  [version] is the negotiated wire version — it
-   decides the request decoding and whether phase-annotated responses
-   are available. *)
-let session_loop t st cid ~version fd =
+   server stops *)
+let session_loop t st cid fd =
   let respond req status payload =
     Mad_obs.Metric.add t.c_bytes_out (Wire.resp_bytes payload);
     Mad_obs.Metric.incr
@@ -335,7 +333,7 @@ let session_loop t st cid ~version fd =
         else if Atomic.get t.stop then false
         else now -. idle_from < t.cfg.idle_timeout
       in
-      match Wire.read_req ~max_len:t.cfg.max_frame ~version ~keep_waiting fd with
+      match Wire.read_req ~max_len:t.cfg.max_frame ~keep_waiting fd with
       | Wire.Closed -> ()
       | Wire.Truncated | Wire.Bad_magic ->
         (* the stream cannot be resynchronized past a framing
@@ -354,7 +352,7 @@ let session_loop t st cid ~version fd =
         (* idle expiry or stop request: a polite goodbye either way *)
         (try Wire.write_resp fd Wire.Bye "" with Unix.Unix_error _ -> ())
       | Wire.Msg (req, meta) ->
-        Mad_obs.Metric.add t.c_bytes_in (Wire.req_bytes ~version req);
+        Mad_obs.Metric.add t.c_bytes_in (Wire.req_bytes req);
         let t0 = Mad_obs.Monotonic.ticks () in
         let status, payload, eng_phases = handle_request t st req in
         let t1 = Mad_obs.Monotonic.ticks () in
@@ -461,11 +459,8 @@ let serve_conn t fd peer =
         && Unix.gettimeofday () -. t0 < t.cfg.read_timeout
       in
       match Wire.read_client_hello ~keep_waiting fd with
-      | Wire.Msg v when v >= Wire.min_version && v <= Wire.version ->
-        (* negotiate down to the older of the two: the hello echoes
-           the version this connection will actually speak *)
-        let version = min v Wire.version in
-        Wire.write_server_hello fd ~version Wire.H_ok;
+      | Wire.Msg v when v = Wire.version ->
+        Wire.write_server_hello fd ~version:Wire.version Wire.H_ok;
         (* the connection's private session: its own observability
            context (metrics registry), digest, adaptive-catalog slot *)
         let session =
@@ -481,10 +476,9 @@ let serve_conn t fd peer =
              (Mad_mql.Session.add_on_commit session (fun () ->
                   st.appended <- Mad_durable.Durable.wal_records h))
          | None -> ());
-        session_loop t st cid ~version fd
-      | Wire.Msg v ->
+        session_loop t st cid fd
+      | Wire.Msg _ ->
         Mad_obs.Metric.incr t.c_errors;
-        ignore v;
         Wire.write_server_hello fd ~version:Wire.version Wire.H_version
       | Wire.Closed | Wire.Truncated | Wire.Oversized _ | Wire.Bad_magic
       | Wire.Timeout ->

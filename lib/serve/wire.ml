@@ -2,7 +2,6 @@
 
 let magic = "MADQ"
 let version = 2
-let min_version = 1
 let default_max_frame = 4 * 1024 * 1024
 let hello_bytes = 8
 let header_bytes = 5
@@ -38,7 +37,7 @@ let req_payload = function
   | Query s | Exec s | Explain s -> s
   | Stats | Health | Ping | Quit -> ""
 
-(* --- v2 request metadata -------------------------------------------- *)
+(* --- request metadata ----------------------------------------------- *)
 
 type meta = { want_phases : bool; span : int }
 
@@ -224,13 +223,12 @@ let frame tag payload =
   Bytes.blit_string payload 0 b header_bytes len;
   Bytes.unsafe_to_string b
 
-(* On a v2 connection every statement payload carries the fixed-size
-   metadata prefix (zeros when the caller supplied none), so decoding
-   depends only on the negotiated version, never on sniffing. *)
-let write_req ?(version = 1) ?meta fd r =
+(* every statement payload carries the fixed-size metadata prefix
+   (zeros when the caller supplied none), so decoding never sniffs *)
+let write_req ?meta fd r =
   let payload =
     match r with
-    | (Query _ | Exec _ | Explain _) when version >= 2 ->
+    | Query _ | Exec _ | Explain _ ->
       encode_meta (Option.value meta ~default:no_meta) ^ req_payload r
     | _ -> req_payload r
   in
@@ -256,14 +254,12 @@ let read_frame ?(max_len = default_max_frame) ~keep_waiting ~decode fd =
       | `Done -> decode tag (Bytes.unsafe_to_string payload)
     end
 
-let read_req ?max_len ?(version = 1) ~keep_waiting fd =
+let read_req ?max_len ~keep_waiting fd =
   read_frame ?max_len ~keep_waiting fd ~decode:(fun tag payload ->
       let stmt mk =
-        if version >= 2 then
-          match decode_meta payload with
-          | Some (m, text) -> Msg (mk text, Some m)
-          | None -> Bad_magic
-        else Msg (mk payload, None)
+        match decode_meta payload with
+        | Some (m, text) -> Msg (mk text, Some m)
+        | None -> Bad_magic
       in
       match tag with
       | 1 -> stmt (fun s -> Query s)
@@ -281,11 +277,7 @@ let read_resp ?max_len ~keep_waiting fd =
       | Some st -> Msg (st, payload)
       | None -> Bad_magic)
 
-let req_bytes ?(version = 1) r =
-  let m =
-    match r with
-    | (Query _ | Exec _ | Explain _) when version >= 2 -> meta_bytes
-    | _ -> 0
-  in
+let req_bytes r =
+  let m = match r with Query _ | Exec _ | Explain _ -> meta_bytes | _ -> 0 in
   header_bytes + m + String.length (req_payload r)
 let resp_bytes payload = header_bytes + String.length payload

@@ -6,8 +6,10 @@
     server → client   "MADQ" + u16 LE version + u8 status + 1 reserved
     v}
     Handshake status: 0 = accepted, 1 = version mismatch (the server's
-    version rides in the reply), 2 = busy (admission control refused
-    the connection).  After a non-zero status the server closes.
+    version, 2, rides in the reply), 2 = busy (admission control
+    refused the connection).  After a non-zero status the server
+    closes.  The only version is 2: a proposal of any other version is
+    refused with status 1.
 
     Then framed request/response, one response per request:
     {v
@@ -21,14 +23,10 @@
     (there is no way to resynchronize a stream after a framing
     violation).
 
-    {2 Version 2}
+    {2 Statement metadata}
 
-    The server accepts any proposed version in
-    [[min_version, version]] and echoes the {e negotiated} version
-    (the minimum of the proposal and its own) in its hello; a proposal
-    outside the range is refused with status 1.  On a negotiated-v2
-    connection every statement payload (opcodes 1–3) starts with a
-    fixed 9-byte metadata prefix:
+    Every statement payload (opcodes 1–3) starts with a fixed 9-byte
+    metadata prefix:
     {v
     u8 flags | i64 LE client span seq | statement text
     v}
@@ -39,17 +37,13 @@
     {v
     u32 LE result length | result | phase text
     v}
-    where the phase text is [name:us;name:us;…] ({!encode_phases}).
-    Version-1 connections are byte-for-byte unchanged. *)
+    where the phase text is [name:us;name:us;…] ({!encode_phases}). *)
 
 val magic : string
 (** ["MADQ"]. *)
 
 val version : int
-(** The newest protocol version this library speaks (2). *)
-
-val min_version : int
-(** The oldest protocol version still accepted (1). *)
+(** The protocol version this library speaks (2). *)
 
 val default_max_frame : int
 (** Default request/response payload cap: 4 MiB. *)
@@ -74,13 +68,13 @@ val req_name : req -> string
 (** Stable lowercase tag ("query", "exec", …) for metrics labels. *)
 
 type meta = { want_phases : bool; span : int }
-(** Per-request metadata carried by v2 statement payloads:
+(** Per-request metadata carried by statement payloads:
     [want_phases] asks for the server-side phase breakdown in the
     response; [span] is the client's trace span seq (0 when the client
     is not tracing). *)
 
 val no_meta : meta
-(** [{ want_phases = false; span = 0 }] — what a v2 statement carries
+(** [{ want_phases = false; span = 0 }] — what a statement carries
     when the caller supplied none. *)
 
 val meta_bytes : int
@@ -139,23 +133,19 @@ val read_server_hello :
   (int * hello_status) incoming
 (** The server's (version, verdict). *)
 
-val write_req : ?version:int -> ?meta:meta -> Unix.file_descr -> req -> unit
-(** [version] (default 1) is the connection's {e negotiated} version;
-    on v2, statement requests always carry the metadata prefix
-    ([meta], default {!no_meta}).  [meta] is ignored on v1 and on
-    non-statement requests. *)
+val write_req : ?meta:meta -> Unix.file_descr -> req -> unit
+(** Statement requests always carry the metadata prefix ([meta],
+    default {!no_meta}); [meta] is ignored on other requests. *)
 
 val write_resp : Unix.file_descr -> status -> string -> unit
 
 val read_req :
   ?max_len:int ->
-  ?version:int ->
   keep_waiting:(started:bool -> bool) ->
   Unix.file_descr ->
   (req * meta option) incoming
-(** [version] (default 1) is the negotiated version; the metadata is
-    [Some _] exactly for statement requests on v2 connections.  An
-    unknown opcode byte — or a v2 statement payload shorter than the
+(** The metadata is [Some _] exactly for statement requests.  An
+    unknown opcode byte — or a statement payload shorter than the
     metadata prefix — is a protocol violation and yields [Bad_magic]
     (the stream cannot be trusted past it; the server closes the
     connection). *)
@@ -166,9 +156,9 @@ val read_resp :
   Unix.file_descr ->
   (status * string) incoming
 
-val req_bytes : ?version:int -> req -> int
-(** On-wire size of the request (header + payload, including the v2
-    metadata prefix when [version >= 2]). *)
+val req_bytes : req -> int
+(** On-wire size of the request (header + payload, including the
+    statement metadata prefix). *)
 
 val resp_bytes : string -> int
 (** On-wire size of a response with this payload. *)

@@ -9,10 +9,14 @@
     link state-area @1 @11
     v}
     Atom identities are preserved across dump/load (links reference
-    them).  Strings are single-quoted with [''] escaping; lists are
-    [[v;v;...]]; identities are [@n]. *)
+    them).  Strings are single-quoted with [''] escaping and may span
+    lines; lists are [[v;v;...]]; identities are [@n].
 
-(* --- writing -------------------------------------------------------- *)
+    The same word syntax, record reader and atomic writer serve every
+    file MAD writes: snapshots, dumps, write-ahead-log payloads and the
+    advisory side files ([stats.mad], [digest.mad], [timeline.mad]). *)
+
+(* --- the word codec ----------------------------------------------- *)
 
 let quote s =
   let buf = Buffer.create (String.length s + 2) in
@@ -24,9 +28,35 @@ let quote s =
   Buffer.add_char buf '\'';
   Buffer.contents buf
 
+let unquote s =
+  let n = String.length s in
+  if n < 2 || s.[0] <> '\'' || s.[n - 1] <> '\'' then
+    Err.failf "bad string %s" s;
+  let buf = Buffer.create n in
+  let rec go i =
+    if i < n - 1 then begin
+      Buffer.add_char buf s.[i];
+      go (if s.[i] = '\'' then i + 2 else i + 1)
+    end
+  in
+  go 1;
+  Buffer.contents buf
+
+(* OCaml's own spelling keeps 12 significant digits; past that, 17 are
+   needed to read the same float back.  A trailing "." keeps an
+   integral float from reading back as an INT. *)
+let float_to_string f =
+  let s = string_of_float f in
+  if Float.equal (float_of_string s) f then s
+  else
+    let s = Printf.sprintf "%.17g" f in
+    if String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s then
+      s ^ "."
+    else s
+
 let rec value_to_string = function
   | Value.Int i -> string_of_int i
-  | Value.Float f -> string_of_float f
+  | Value.Float f -> float_to_string f
   | Value.Bool b -> string_of_bool b
   | Value.String s -> quote s
   | Value.Id id -> "@" ^ string_of_int id
@@ -95,72 +125,150 @@ let dump db =
   dump_to_buffer db buf;
   Buffer.contents buf
 
-let dump_file db path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (dump db))
+(* write [text] to [path] atomically: temp file in the same directory,
+   fsync, rename over the target *)
+let write_atomically path text =
+  let tmp = path ^ ".tmp" in
+  try
+    let fd =
+      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        let b = Bytes.of_string text in
+        let n = Unix.write fd b 0 (Bytes.length b) in
+        if n <> Bytes.length b then
+          Err.failf "%s: short write (%d of %d bytes)" tmp n (Bytes.length b);
+        Unix.fsync fd);
+    Sys.rename tmp path
+  with
+  | Unix.Unix_error (e, _, _) ->
+    Err.failf "%s: cannot write: %s" path (Unix.error_message e)
+  | Sys_error msg -> Err.failf "%s: cannot write: %s" path msg
+
+let dump_file db path = write_atomically path (dump db)
 
 (* --- reading -------------------------------------------------------- *)
 
-(* split a line into words, respecting single-quoted strings and
-   bracketed lists *)
-let split_line line lineno =
-  let n = String.length line in
+(* The one tokenizer.  Words split at blanks outside quotes and lists;
+   a newline outside them ends the record, so a string may span lines.
+   A line that starts a record with [#] is a comment.  [f] sees each
+   non-empty record with the line it starts on. *)
+let scan line text f =
+  let n = String.length text in
+  let buf = Buffer.create 64 in
   let words = ref [] in
-  let buf = Buffer.create 16 in
-  let flush () =
+  let line = ref line and start = ref line in
+  let quoted = ref false and depth = ref 0 in
+  let word () =
     if Buffer.length buf > 0 then begin
       words := Buffer.contents buf :: !words;
       Buffer.clear buf
     end
   in
-  let rec go i state =
-    if i >= n then begin
-      (match state with
-       | `Plain -> ()
-       | `Quoted -> Err.failf "line %d: unterminated string" lineno
-       | `Bracket _ -> Err.failf "line %d: unterminated list" lineno);
-      flush ()
-    end
-    else
-      let c = line.[i] in
-      match state with
-      | `Plain ->
-        if c = ' ' || c = '\t' then begin
-          flush ();
-          go (i + 1) `Plain
-        end
-        else if c = '\'' then begin
-          Buffer.add_char buf c;
-          go (i + 1) `Quoted
-        end
-        else if c = '[' then begin
-          Buffer.add_char buf c;
-          go (i + 1) (`Bracket 1)
-        end
-        else begin
-          Buffer.add_char buf c;
-          go (i + 1) `Plain
-        end
-      | `Quoted ->
-        Buffer.add_char buf c;
-        if c = '\'' then
-          if i + 1 < n && line.[i + 1] = '\'' then begin
-            Buffer.add_char buf '\'';
-            go (i + 2) `Quoted
-          end
-          else go (i + 1) `Plain
-        else go (i + 1) `Quoted
-      | `Bracket depth ->
-        Buffer.add_char buf c;
-        if c = '[' then go (i + 1) (`Bracket (depth + 1))
-        else if c = ']' then
-          if depth = 1 then go (i + 1) `Plain else go (i + 1) (`Bracket (depth - 1))
-        else go (i + 1) (`Bracket depth)
+  let record () =
+    word ();
+    match !words with
+    | [] -> ()
+    | ws ->
+      words := [];
+      f !start (List.rev ws)
   in
-  go 0 `Plain;
+  let i = ref 0 in
+  while !i < n do
+    let c = String.unsafe_get text !i in
+    (* a doubled quote toggles twice: it stays inside the string *)
+    if !quoted || !depth > 0 || c = '\'' then begin
+      if c = '\'' then quoted := not !quoted
+      else if not !quoted then
+        if c = '[' then incr depth else if c = ']' then decr depth;
+      Buffer.add_char buf c
+    end
+    else begin
+      match c with
+      | ' ' | '\t' | '\r' -> word ()
+      | '\n' -> record ()
+      | '#' when Buffer.length buf = 0 && List.is_empty !words ->
+        (match String.index_from_opt text !i '\n' with
+         | Some j -> i := j - 1
+         | None -> i := n)
+      | '[' ->
+        depth := 1;
+        Buffer.add_char buf c
+      | _ -> Buffer.add_char buf c
+    end;
+    if Buffer.length buf = 1 && List.is_empty !words then start := !line;
+    if c = '\n' then incr line;
+    incr i
+  done;
+  if !quoted then Err.failf "line %d: unterminated string" !start;
+  if !depth > 0 then Err.failf "line %d: unterminated list" !start;
+  record ()
+
+let iter_records text f = scan 1 text f
+
+let split_line line lineno =
+  let words = ref [] in
+  scan lineno line (fun _ ws -> words := List.rev_append ws !words);
   List.rev !words
+
+(* the items of a list's body: split at [;] outside strings and inner
+   lists *)
+let list_items s =
+  let items = ref [] and from = ref 0 in
+  let quoted = ref false and depth = ref 0 in
+  String.iteri
+    (fun i c ->
+      if c = '\'' then quoted := not !quoted
+      else if not !quoted then
+        if c = '[' then incr depth
+        else if c = ']' then decr depth
+        else if c = ';' && !depth = 0 then begin
+          items := String.sub s !from (i - !from) :: !items;
+          from := i + 1
+        end)
+    s;
+  List.rev (String.sub s !from (String.length s - !from) :: !items)
+
+let warn msg = Printf.eprintf "mad: %s\n%!" msg
+
+let read_advisory ~file ~header ~warn text f =
+  let first =
+    String.trim
+      (match String.index_opt text '\n' with
+       | Some i -> String.sub text 0 i
+       | None -> text)
+  in
+  if first <> header then begin
+    warn (Printf.sprintf "%s: unrecognized header %S, file ignored" file first);
+    false
+  end
+  else begin
+    let bad = ref None and skipped = ref 0 in
+    let skip msg =
+      incr skipped;
+      if !bad = None then bad := Some msg
+    in
+    (try
+       iter_records text (fun line words ->
+           try f words
+           with Err.Mad_error msg | Failure msg ->
+             skip (Printf.sprintf "line %d: %s" line msg))
+     with Err.Mad_error msg -> skip msg);
+    Option.iter
+      (fun msg ->
+        warn (Printf.sprintf "%s: %s (%d malformed record(s) skipped)" file msg
+                !skipped))
+      !bad;
+    true
+  end
+
+let load_advisory ~header path f =
+  Sys.file_exists path
+  && read_advisory ~file:(Filename.basename path) ~header ~warn
+       (In_channel.with_open_bin path In_channel.input_all)
+       f
 
 let parse_domain lineno s =
   let rec go s =
@@ -207,37 +315,25 @@ let parse_card lineno s =
     (side l, side r)
   | _ -> Err.failf "line %d: bad cardinality %s" lineno s
 
+let parse_id lineno s =
+  match
+    if String.length s > 1 && s.[0] = '@' then
+      int_of_string_opt (String.sub s 1 (String.length s - 1))
+    else None
+  with
+  | Some id -> id
+  | None -> Err.failf "line %d: expected @id, got %s" lineno s
+
 let rec parse_value lineno s =
   if s = "" then Err.failf "line %d: empty value" lineno
-  else if s.[0] = '\'' then begin
-    if String.length s < 2 || s.[String.length s - 1] <> '\'' then
-      Err.failf "line %d: bad string %s" lineno s;
-    let inner = String.sub s 1 (String.length s - 2) in
-    (* unescape '' *)
-    let buf = Buffer.create (String.length inner) in
-    let rec go i =
-      if i < String.length inner then
-        if inner.[i] = '\'' && i + 1 < String.length inner && inner.[i + 1] = '\''
-        then begin
-          Buffer.add_char buf '\'';
-          go (i + 2)
-        end
-        else begin
-          Buffer.add_char buf inner.[i];
-          go (i + 1)
-        end
-    in
-    go 0;
-    Value.String (Buffer.contents buf)
-  end
-  else if s.[0] = '@' then
-    Value.Id (int_of_string (String.sub s 1 (String.length s - 1)))
+  else if s.[0] = '\'' then
+    try Value.String (unquote s)
+    with Err.Mad_error msg -> Err.failf "line %d: %s" lineno msg
+  else if s.[0] = '@' then Value.Id (parse_id lineno s)
   else if s.[0] = '[' then begin
     let inner = String.sub s 1 (String.length s - 2) in
     if String.trim inner = "" then Value.List []
-    else
-      Value.List
-        (List.map (parse_value lineno) (String.split_on_char ';' inner))
+    else Value.List (List.map (parse_value lineno) (list_items inner))
   end
   else if s = "true" then Value.Bool true
   else if s = "false" then Value.Bool false
@@ -248,11 +344,6 @@ let rec parse_value lineno s =
       match float_of_string_opt s with
       | Some f -> Value.Float f
       | None -> Err.failf "line %d: unreadable value %s" lineno s)
-
-let parse_id lineno s =
-  if String.length s > 1 && s.[0] = '@' then
-    int_of_string (String.sub s 1 (String.length s - 1))
-  else Err.failf "line %d: expected @id, got %s" lineno s
 
 (** Load a database from dump text.  With [file], parse errors are
     prefixed with the file name, so that multi-file recovery (snapshot
@@ -266,48 +357,38 @@ let load ?file text =
   in
   in_file @@ fun () ->
   let db = Database.create () in
-  let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun idx line ->
-      let lineno = idx + 1 in
-      let line = String.trim line in
-      if line = "" || line.[0] = '#' then ()
-      else
-        match split_line line lineno with
-        | "atomtype" :: name :: attrs ->
-          let attrs =
-            List.map
-              (fun spec ->
-                match String.index_opt spec ':' with
-                | Some i ->
-                  Schema.Attr.v
-                    (String.sub spec 0 i)
-                    (parse_domain lineno
-                       (String.sub spec (i + 1) (String.length spec - i - 1)))
-                | None ->
-                  Err.failf "line %d: bad attribute spec %s" lineno spec)
-              attrs
-          in
-          ignore (Database.declare_atom_type db name attrs)
-        | [ "linktype"; name; e1; e2; card ] ->
-          ignore
-            (Database.declare_link_type db
-               ~card:(parse_card lineno card)
-               name (e1, e2))
-        | "atom" :: atype :: id :: values ->
-          ignore
-            (Database.insert_atom_exact db ~atype ~id:(parse_id lineno id)
-               (List.map (parse_value lineno) values))
-        | [ "link"; lt; l; r ] ->
-          Database.add_link db lt ~left:(parse_id lineno l)
-            ~right:(parse_id lineno r)
-        | word :: _ -> Err.failf "line %d: unknown directive %s" lineno word
-        | [] -> ())
-    lines;
+  iter_records text (fun lineno words ->
+      match words with
+      | "atomtype" :: name :: attrs ->
+        let attrs =
+          List.map
+            (fun spec ->
+              match String.index_opt spec ':' with
+              | Some i ->
+                Schema.Attr.v
+                  (String.sub spec 0 i)
+                  (parse_domain lineno
+                     (String.sub spec (i + 1) (String.length spec - i - 1)))
+              | None -> Err.failf "line %d: bad attribute spec %s" lineno spec)
+            attrs
+        in
+        ignore (Database.declare_atom_type db name attrs)
+      | [ "linktype"; name; e1; e2; card ] ->
+        ignore
+          (Database.declare_link_type db
+             ~card:(parse_card lineno card)
+             name (e1, e2))
+      | "atom" :: atype :: id :: values ->
+        ignore
+          (Database.insert_atom_exact db ~atype ~id:(parse_id lineno id)
+             (List.map (parse_value lineno) values))
+      | [ "link"; lt; l; r ] ->
+        Database.add_link db lt ~left:(parse_id lineno l)
+          ~right:(parse_id lineno r)
+      | word :: _ -> Err.failf "line %d: unknown directive %s" lineno word
+      | [] -> ());
   db
 
 let load_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> load ~file:(Filename.basename path) (In_channel.input_all ic))
+  load ~file:(Filename.basename path)
+    (In_channel.with_open_bin path In_channel.input_all)

@@ -367,9 +367,7 @@ let test_persistence_switch_across_restart () =
        ~error:false ());
   let s = Digest.to_string dg in
   let dg2 = Digest.create (Registry.create ()) in
-  (match Digest.merge_string dg2 s with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail e);
+  check "merged" true (Digest.merge_string ~warn:Alcotest.fail dg2 s);
   check_int "no switch after load" 0 (Digest.switch_count dg2);
   let switched =
     Digest.record dg2 ~fp:0xabc ~text:"q" ~plan:0x22 ~latency_us:10.0 ~rows:0
@@ -380,16 +378,28 @@ let test_persistence_switch_across_restart () =
 
 let test_merge_rejects_bad_header () =
   let dg = Digest.create (Registry.create ()) in
-  check "bad header rejected" true
-    (match Digest.merge_string dg "# not a digest\n" with
-     | Error _ -> true
-     | Ok () -> false);
-  check "garbage lines under a good header are skipped" true
-    (match
-       Digest.merge_string dg "# MAD statement digest v1\nwat 1 2 3\nrow\n"
-     with
-     | Ok () -> true
-     | Error _ -> false)
+  let warnings = ref [] in
+  let warn w = warnings := w :: !warnings in
+  check "bad header rejected" false
+    (Digest.merge_string ~warn dg "# not a digest\n");
+  check "v1 rejected" false
+    (Digest.merge_string ~warn dg "# MAD statement digest v1\nfp abc q\n");
+  check_int "one warning per ignored text" 2 (List.length !warnings);
+  warnings := [];
+  check "garbage records under a good header are skipped" true
+    (Digest.merge_string ~warn dg
+       "# MAD statement digest v2\nwat 1 2 3\nrow\nfp abc 'q ''x''\n y'\n");
+  (* the stored text (quotes and a line break in it) names the entry *)
+  ignore
+    (Digest.record dg ~fp:0xabc ~text:"live" ~plan:1 ~latency_us:1.0 ~rows:0
+       ~error:false ());
+  check_str "quoted text kept" "q 'x'\n y"
+    (List.hd (Digest.report dg)).Digest.r_text;
+  match !warnings with
+  | [ w ] ->
+    check "warning names the first bad line" true
+      (contains w "digest.mad: line 2")
+  | ws -> Alcotest.failf "expected one warning, got %d" (List.length ws)
 
 (* ------------------------------------------------------------------ *)
 (* JSON report                                                          *)

@@ -361,7 +361,13 @@ let test_queries_do_not_journal () =
 let test_catalog_roundtrip () =
   let db = Harness.seed_db () in
   let s = Prima.Stats.collect db in
-  let s' = Prima.Catalog_io.of_string (Prima.Catalog_io.to_string s) in
+  let warnings = ref [] in
+  let warn w = warnings := w :: !warnings in
+  let s' =
+    match Prima.Catalog_io.of_string ~warn (Prima.Catalog_io.to_string s) with
+    | Some s' -> s'
+    | None -> Alcotest.fail "catalog ignored"
+  in
   let module Smap = Prima.Stats.Smap in
   check "atom counts" true
     (Smap.equal ( = ) s.Prima.Stats.atom_counts s'.Prima.Stats.atom_counts);
@@ -369,12 +375,122 @@ let test_catalog_roundtrip () =
     (Smap.equal ( = ) s.Prima.Stats.distinct s'.Prima.Stats.distinct);
   check "link stats" true
     (Smap.equal ( = ) s.Prima.Stats.link_stats s'.Prima.Stats.link_stats);
-  (* malformed input is located *)
-  match Prima.Catalog_io.of_string "count part 3\nfrobnicate" with
-  | _ -> Alcotest.fail "expected catalog parse failure"
-  | exception Err.Mad_error msg ->
-    check "names file and line" true
-      (contains ~affix:"stats.mad: line 2" msg)
+  check "no warning" true (!warnings = []);
+  (* a malformed record is skipped and located; the rest loads *)
+  (match
+     Prima.Catalog_io.of_string ~warn
+       "# MAD adaptive catalog v2\nfrobnicate\ncount part 3\n"
+   with
+   | Some s ->
+     check "good record kept" true
+       (Smap.find_opt "part" s.Prima.Stats.atom_counts = Some 3)
+   | None -> Alcotest.fail "catalog ignored");
+  (match !warnings with
+   | [ w ] -> check "names file and line" true (contains ~affix:"stats.mad: line 2" w)
+   | ws -> Alcotest.failf "expected one warning, got %d" (List.length ws));
+  (* a v1 file is ignored with one warning *)
+  warnings := [];
+  check "v1 ignored" true
+    (Prima.Catalog_io.of_string ~warn "# MAD adaptive catalog v1\ncount part 3\n"
+     = None);
+  check_int "one warning" 1 (List.length !warnings)
+
+(* strings with line breaks, tabs and quotes, and floats that need 17
+   digits, come back the same through WAL replay and through a
+   snapshot *)
+let test_tricky_values_durable () =
+  in_tmp "tricky" @@ fun dir ->
+  let seed = Database.create () in
+  ignore
+    (Database.declare_atom_type seed "t"
+       [ Schema.Attr.v "s" Domain.String; Schema.Attr.v "w" Domain.Float ]);
+  let h = Durable.open_dir ~seed dir in
+  List.iter
+    (fun (str, f) ->
+      ignore
+        (Database.insert_atom (Durable.db h) ~atype:"t"
+           [ Value.String str; Value.Float f ]))
+    [
+      ("a\nb", 1. /. 3.);
+      ("x\r\ny", 123456.789012345);
+      ("tab\there", 0.333333333333333315);
+      ("it's\n", -0.1);
+    ];
+  Durable.commit h;
+  let values db =
+    List.map (fun (a : Atom.t) -> Array.to_list a.values) (Database.atoms db "t")
+  in
+  let want = values (Durable.db h) in
+  Durable.close h;
+  let h = Durable.open_dir dir in
+  check_int "replayed" 4 (Durable.recovery h).Durable.replayed_records;
+  check "same after WAL replay" true (values (Durable.db h) = want);
+  Durable.snapshot h;
+  Durable.close h;
+  let h = Durable.open_dir dir in
+  check "snapshot loaded" true (Durable.recovery h).Durable.snapshot_loaded;
+  check "same after snapshot" true (values (Durable.db h) = want);
+  Durable.close h
+
+(* a kill during a save used to leave a side file cut anywhere (they
+   were rewritten in place); every prefix of each file must load
+   without raising *)
+let test_side_file_prefixes () =
+  in_tmp "prefixes" @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let module Smap = Prima.Stats.Smap in
+  let s = Prima.Stats.collect (Harness.seed_db ()) in
+  let s =
+    {
+      s with
+      Prima.Stats.learned =
+        Smap.add "in"
+          { Prima.Stats.lf_fwd = Some 1.5; lf_bwd = None; lr_fwd = None;
+            lr_bwd = Some 0.25 }
+          s.Prima.Stats.learned;
+      learned_sel = Smap.add "part|part.name = 'p 1'" 0.1 s.learned_sel;
+    }
+  in
+  let reg = Mad_obs.Registry.create () in
+  let dg = Mad_obs.Digest.create reg in
+  ignore
+    (Mad_obs.Digest.record dg ~fp:0xabc ~text:"SELECT ALL FROM part\nWHERE part.name = '?';"
+       ~plan:0x11 ~latency_us:120.0 ~rows:5 ~error:false ());
+  let tl = Mad_obs.Timeline.create () in
+  Mad_obs.Metric.add (Mad_obs.Registry.counter reg ~labels:[ ("k", "a b") ] "n") 3;
+  ignore (Mad_obs.Timeline.tick tl reg);
+  ignore (Mad_obs.Timeline.tick tl reg);
+  let saved save name =
+    let path = Filename.concat dir name in
+    save path;
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  let warn = ignore in
+  let loaders =
+    [
+      ( saved (Prima.Catalog_io.save s) "stats.mad",
+        fun text -> ignore (Prima.Catalog_io.of_string ~warn text) );
+      ( saved (Mad_obs.Digest.save dg) "digest.mad",
+        fun text ->
+          ignore
+            (Mad_obs.Digest.merge_string ~warn
+               (Mad_obs.Digest.create (Mad_obs.Registry.create ()))
+               text) );
+      ( saved (Mad_obs.Timeline.save tl) "timeline.mad",
+        fun text ->
+          ignore
+            (Mad_obs.Timeline.merge_string ~warn (Mad_obs.Timeline.create ())
+               text) );
+    ]
+  in
+  List.iter
+    (fun (text, load) ->
+      for n = 0 to String.length text do
+        load (String.sub text 0 n)
+      done)
+    loaders;
+  check "no temp file left behind" false
+    (Sys.file_exists (Filename.concat dir "stats.mad.tmp"))
 
 let suite =
   [
@@ -401,6 +517,10 @@ let suite =
       test_recovery_errors_name_files;
     Alcotest.test_case "queries never journal" `Quick
       test_queries_do_not_journal;
+    Alcotest.test_case "tricky strings and floats survive replay and snapshot"
+      `Quick test_tricky_values_durable;
+    Alcotest.test_case "every prefix of a side file loads" `Quick
+      test_side_file_prefixes;
     Alcotest.test_case "learned catalog round-trip" `Quick
       test_catalog_roundtrip;
   ]

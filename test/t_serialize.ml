@@ -97,8 +97,67 @@ let test_tricky_values () =
          Value.List [];
          Value.String "red";
        ]);
-  let db' = Serialize.load (Serialize.dump db) in
-  same_db db db'
+  (* strings with line breaks, tabs, percent signs, backslashes and
+     quotes; floats that need all 17 digits *)
+  List.iter
+    (fun (str, f) ->
+      ignore
+        (Database.insert_atom db ~atype:"t"
+           [
+             Value.String str;
+             Value.Float f;
+             Value.Bool true;
+             Value.List [];
+             Value.String "red";
+           ]))
+    [
+      ("a\nb", 1. /. 3.);
+      ("x\r\ny", 123456.789012345);
+      ("tab\there", 0.1 +. 0.2);
+      ("50%25", 1e16);
+      ("back\\slash", -1234567890123456.);
+      ("it's", Float.pi);
+    ];
+  let text = Serialize.dump db in
+  let db' = Serialize.load text in
+  same_db db db';
+  check "floats read back exactly" true
+    (List.for_all2
+       (fun (x : Atom.t) (y : Atom.t) -> x.values.(1) = y.values.(1))
+       (Database.atoms db "t") (Database.atoms db' "t"));
+  (* the dump is a fixed point *)
+  Alcotest.(check string) "dump of the load" text (Serialize.dump db')
+
+(* list items split at [;] outside strings and inner lists *)
+let test_nested_lists () =
+  let db = Database.create () in
+  ignore
+    (Database.declare_atom_type db "t"
+       [
+         Schema.Attr.v "ss" (Domain.List_of Domain.String);
+         Schema.Attr.v "ll" (Domain.List_of (Domain.List_of Domain.Int));
+       ]);
+  ignore
+    (Database.insert_atom db ~atype:"t"
+       [
+         Value.List [ Value.String "a;b"; Value.String "[c]"; Value.String "'" ];
+         Value.List
+           [ Value.List [ Value.Int 1; Value.Int 2 ]; Value.List []; Value.List [ Value.Int 3 ] ];
+       ]);
+  same_db db (Serialize.load (Serialize.dump db))
+
+(* the record reader: a record ends at a newline outside strings and
+   lists, and errors name the line a record starts on *)
+let test_records () =
+  let records = ref [] in
+  Serialize.iter_records "# c\na 'x\n# y' [1;\n2]\n\n  b\n" (fun line words ->
+      records := (line, words) :: !records);
+  check "records" true
+    (List.rev !records = [ (2, [ "a"; "'x\n# y'"; "[1;\n2]" ]); (6, [ "b" ]) ]);
+  match Serialize.load "atomtype t s:STRING\n\natom t @1 'open\n" with
+  | _ -> Alcotest.fail "expected unterminated string"
+  | exception Err.Mad_error msg ->
+    Alcotest.(check string) "names the record's line" "line 3: unterminated string" msg
 
 let test_malformed_rejected () =
   let bad text =
@@ -111,10 +170,21 @@ let test_malformed_rejected () =
   bad "atom nosuchtype @1 1";
   bad "atomtype t n:INT\natom t @1 'wrong type'";
   bad "atomtype t n:INT\natom t @1 1\natom t @1 2" (* duplicate id *);
+  bad "atomtype t n:INT\natom t @x 1" (* not an identity *);
+  bad "atomtype t r:ID(t)\natom t @1 @y";
   bad "atomtype a n:INT\natomtype b m:INT\nlinktype ab a b 1:1\nlink ab @1 @2"
     (* dangling link *)
 
 let test_error_names_file () =
+  (* a write that cannot happen is a typed error naming the target *)
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ()) "no-such-dir/x.mad"
+  in
+  (match Serialize.dump_file (Database.create ()) path with
+   | () -> Alcotest.fail "expected write failure"
+   | exception Err.Mad_error msg ->
+     check "target named" true
+       (String.starts_with ~prefix:(path ^ ": cannot write") msg));
   (* diagnostics from a named source (load_file, the durability
      engine's snapshots) lead with the file name *)
   match Serialize.load ~file:"snapshot.mad" "frobnicate x y" with
@@ -128,6 +198,9 @@ let suite =
     Alcotest.test_case "round-trip Brazil" `Quick test_roundtrip_brazil;
     Alcotest.test_case "round-trip BOM (reflexive roles)" `Quick
       test_roundtrip_bom;
+    Alcotest.test_case "nested lists and lists of strings" `Quick
+      test_nested_lists;
+    Alcotest.test_case "records span lines inside strings" `Quick test_records;
     Alcotest.test_case "fresh ids after load" `Quick test_fresh_ids_after_load;
     Alcotest.test_case "tricky values" `Quick test_tricky_values;
     Alcotest.test_case "malformed input rejected" `Quick

@@ -1,5 +1,5 @@
-(* The network service: wire framing round trips, handshake version
-   negotiation, admission control (typed busy), concurrent writers
+(* The network service: wire framing round trips, the handshake's
+   version check, admission control (typed busy), concurrent writers
    converging through the cross-session group-commit coordinator, and
    clean shutdown draining in-flight requests. *)
 
@@ -51,8 +51,15 @@ let test_wire_roundtrip () =
         (fun r ->
           Wire.write_req a r;
           match Wire.read_req ~keep_waiting:wait_forever b with
-          | Wire.Msg (got, None) -> check "req round trip" true (got = r)
-          | Wire.Msg (_, Some _) -> Alcotest.fail "v1 request carried metadata"
+          | Wire.Msg (got, meta) ->
+            check "req round trip" true (got = r);
+            let statement =
+              match r with
+              | Wire.Query _ | Wire.Exec _ | Wire.Explain _ -> true
+              | _ -> false
+            in
+            check "statements alone carry metadata" statement
+              (Option.is_some meta)
           | _ -> Alcotest.fail "request did not round trip")
         reqs;
       (* responses, including an empty payload *)
@@ -83,17 +90,19 @@ let test_wire_limits () =
       Unix.close b)
     (fun () ->
       let cap = 64 * 1024 in
-      (* a payload of exactly the cap passes...  (written from a domain:
-         a socketpair buffer cannot hold 64 KiB unread) *)
-      let big = String.make cap 'q' in
+      (* a payload (metadata prefix and text) of exactly the cap
+         passes...  (written from a domain: a socketpair buffer cannot
+         hold 64 KiB unread) *)
+      let text = cap - Wire.meta_bytes in
+      let big = String.make text 'q' in
       let w = Stdlib.Domain.spawn (fun () -> Wire.write_req a (Wire.Query big)) in
       (match Wire.read_req ~max_len:cap ~keep_waiting:wait_forever b with
        | Wire.Msg (Wire.Query got, _) ->
-         check_int "max-size frame" cap (String.length got)
+         check_int "max-size frame" text (String.length got)
        | _ -> Alcotest.fail "max-size frame rejected");
       Stdlib.Domain.join w;
       (* ...one byte more is rejected before the payload is read *)
-      let over = String.make (cap + 1) 'q' in
+      let over = String.make (text + 1) 'q' in
       let w = Stdlib.Domain.spawn (fun () -> Wire.write_req a (Wire.Query over)) in
       (match Wire.read_req ~max_len:cap ~keep_waiting:wait_forever b with
        | Wire.Oversized n -> check_int "oversized declares its length" (cap + 1) n
@@ -133,7 +142,7 @@ let test_wire_timeout () =
       | Wire.Timeout -> ()
       | _ -> Alcotest.fail "empty socket should time out")
 
-(* --- wire v2: request metadata and phase payloads ------------------- *)
+(* --- request metadata and phase payloads ------------------------------ *)
 
 let test_wire_v2_codec () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -142,55 +151,57 @@ let test_wire_v2_codec () =
       Unix.close a;
       Unix.close b)
     (fun () ->
-      (* a v2 statement always carries the 9-byte metadata prefix *)
+      (* a statement always carries the 9-byte metadata prefix *)
       let meta = { Wire.want_phases = true; span = 42 } in
-      Wire.write_req ~version:2 ~meta a (Wire.Query "SELECT ALL FROM state;");
-      (match Wire.read_req ~version:2 ~keep_waiting:wait_forever b with
+      Wire.write_req ~meta a (Wire.Query "SELECT ALL FROM state;");
+      (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Msg (Wire.Query s, Some m) ->
-         check_string "v2 statement text" "SELECT ALL FROM state;" s;
-         check "v2 meta wants phases" true m.Wire.want_phases;
-         check_int "v2 meta span" 42 m.Wire.span
-       | _ -> Alcotest.fail "v2 statement did not round trip");
+         check_string "statement text" "SELECT ALL FROM state;" s;
+         check "meta wants phases" true m.Wire.want_phases;
+         check_int "meta span" 42 m.Wire.span
+       | _ -> Alcotest.fail "statement did not round trip");
       (* metadata defaults to no_meta when the writer supplies none *)
-      Wire.write_req ~version:2 a (Wire.Exec "INSERT;");
-      (match Wire.read_req ~version:2 ~keep_waiting:wait_forever b with
+      Wire.write_req a (Wire.Exec "INSERT;");
+      (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Msg (Wire.Exec _, Some m) ->
          check "default meta is inert" false m.Wire.want_phases;
          check_int "default meta span" 0 m.Wire.span
-       | _ -> Alcotest.fail "v2 default meta did not round trip");
-      (* non-statement opcodes never carry metadata, any version *)
-      Wire.write_req ~version:2 a Wire.Ping;
-      (match Wire.read_req ~version:2 ~keep_waiting:wait_forever b with
+       | _ -> Alcotest.fail "default meta did not round trip");
+      (* non-statement opcodes never carry metadata *)
+      Wire.write_req a Wire.Ping;
+      (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Msg (Wire.Ping, None) -> ()
        | _ -> Alcotest.fail "ping must stay meta-free");
-      (* the v2 statement is meta_bytes bigger on the wire, and the
-         byte accounting knows *)
+      (* the statement is meta_bytes bigger on the wire, and the byte
+         accounting knows *)
       check_int "req_bytes counts the prefix"
-        (Wire.req_bytes (Wire.Query "x") + Wire.meta_bytes)
-        (Wire.req_bytes ~version:2 (Wire.Query "x"));
+        (Wire.header_bytes + Wire.meta_bytes + 1)
+        (Wire.req_bytes (Wire.Query "x"));
+      check_int "ping has no prefix" Wire.header_bytes
+        (Wire.req_bytes Wire.Ping);
       (* the frame cap applies to the whole payload, prefix included *)
       let cap = 64 in
       let text = String.make (cap - Wire.meta_bytes + 1) 'q' in
       let w =
         Stdlib.Domain.spawn (fun () ->
-            Wire.write_req ~version:2 a (Wire.Query text))
+            Wire.write_req a (Wire.Query text))
       in
-      (match Wire.read_req ~version:2 ~max_len:cap ~keep_waiting:wait_forever b with
-       | Wire.Oversized n -> check_int "v2 oversized includes prefix" (cap + 1) n
-       | _ -> Alcotest.fail "v2 oversized frame accepted");
+      (match Wire.read_req ~max_len:cap ~keep_waiting:wait_forever b with
+       | Wire.Oversized n -> check_int "oversized includes prefix" (cap + 1) n
+       | _ -> Alcotest.fail "oversized frame accepted");
       Stdlib.Domain.join w;
       let buf = Bytes.create 256 in
       let rec drain n = if n > 0 then drain (n - Unix.read b buf 0 (min 256 n)) in
       drain (cap + 1);
-      (* a v2 statement payload shorter than the prefix is a protocol
+      (* a statement payload shorter than the prefix is a protocol
          violation, same as an unknown opcode *)
       let hdr = Bytes.create 5 in
       Bytes.set_int32_le hdr 0 4l;
       Bytes.set_uint8 hdr 4 1;
       Wire.write_all a (Bytes.to_string hdr ^ "abcd");
-      (match Wire.read_req ~version:2 ~keep_waiting:wait_forever b with
+      (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Bad_magic -> ()
-       | _ -> Alcotest.fail "short v2 payload must be rejected");
+       | _ -> Alcotest.fail "short payload must be rejected");
       (* phase codec round trip, including the empty list *)
       let phases = [ ("lock", 12.5); ("exec", 0.0); ("fsync", 3250.125) ] in
       (match
@@ -309,93 +320,39 @@ let test_basic_requests () =
   Client.close c;
   check_int "one connection admitted" 1 (Serve.connections srv)
 
+(* a raw hello proposing [v]: the server's verdict *)
+let hello srv v =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Serve.port srv));
+      Wire.write_client_hello fd ~version:v;
+      Wire.read_server_hello ~keep_waiting:wait_forever fd)
+
 let test_version_mismatch () =
   with_server (brazil ()) @@ fun srv ->
-  (match Client.connect ~version:99 ~host:"127.0.0.1" (Serve.port srv) with
-   | Error (Client.Version_mismatch v) ->
+  (match hello srv 99 with
+   | Wire.Msg (v, Wire.H_version) ->
      check_int "server states its version" Wire.version v
-   | Ok _ -> Alcotest.fail "version 99 must be rejected"
-   | Error e -> Alcotest.failf "wrong rejection: %a" Client.pp_connect_error e);
+   | _ -> Alcotest.fail "version 99 must be rejected");
   (* the rejection did not wedge the server *)
   let c = connect_ok srv in
   check "server still serves" true (Client.ping c);
   Client.close c
 
-(* --- version negotiation (v1 ↔ v2 interop) -------------------------- *)
-
-let test_v1_client_v2_server () =
+(* wire v1 is gone: a v1 proposal is refused like any other *)
+let test_v1_refused () =
   with_server (brazil ()) @@ fun srv ->
-  match Client.connect ~version:1 ~host:"127.0.0.1" (Serve.port srv) with
-  | Error e -> Alcotest.failf "v1 connect: %a" Client.pp_connect_error e
-  | Ok c ->
-    check_int "negotiated down to 1" 1 (Client.version c);
-    check "v1 ping" true (Client.ping c);
-    (match Client.query c "SELECT ALL FROM state WHERE state.name = 'SP';" with
-     | Ok out ->
-       check "v1 query works on a v2 server" true (contains ~affix:"state" out)
-     | Error msg -> Alcotest.failf "v1 query: %s" msg);
-    (* phase tracing degrades gracefully on a v1 connection *)
-    (match Client.query_traced c "SELECT ALL FROM state;" with
-     | Ok (_, phases) -> check "no phases over v1" true (phases = [])
-     | Error msg -> Alcotest.failf "v1 traced query: %s" msg);
-    Client.close c
-
-(* a minimal v1-only peer: refuses a v2 hello naming version 1, then
-   accepts the downgraded retry and answers pings — what a pre-v2
-   [madql serve] does on the wire *)
-let test_v2_client_v1_server () =
-  let lst = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lst Unix.SO_REUSEADDR true;
-  Unix.bind lst (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen lst 4;
-  let port =
-    match Unix.getsockname lst with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
-  let server =
-    Stdlib.Domain.spawn (fun () ->
-        let serve_one () =
-          let fd, _ = Unix.accept lst in
-          (match Wire.read_client_hello ~keep_waiting:wait_forever fd with
-           | Wire.Msg 1 ->
-             Wire.write_server_hello fd ~version:1 Wire.H_ok;
-             let rec loop () =
-               match Wire.read_req ~keep_waiting:wait_forever fd with
-               | Wire.Msg (Wire.Ping, _) ->
-                 Wire.write_resp fd Wire.Pong "";
-                 loop ()
-               | Wire.Msg (Wire.Quit, _) -> Wire.write_resp fd Wire.Bye ""
-               | _ -> ()
-             in
-             loop ()
-           | Wire.Msg _ -> Wire.write_server_hello fd ~version:1 Wire.H_version
-           | _ -> ());
-          Unix.close fd
-        in
-        serve_one ();
-        (* the refused v2 proposal... *)
-        serve_one ())
-    (* ...and the downgraded retry *)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Stdlib.Domain.join server;
-      Unix.close lst)
-    (fun () ->
-      match Client.connect ~host:"127.0.0.1" port with
-      | Ok c ->
-        check_int "auto-downgraded to v1" 1 (Client.version c);
-        check "ping over the downgraded link" true (Client.ping c);
-        Client.close c
-      | Error e -> Alcotest.failf "downgrade failed: %a" Client.pp_connect_error e)
+  match hello srv 1 with
+  | Wire.Msg (v, Wire.H_version) -> check_int "refusal names version 2" 2 v
+  | _ -> Alcotest.fail "a v1 hello must be refused"
 
 (* --- request phases -------------------------------------------------- *)
 
 let test_phase_breakdown () =
   with_server (brazil ()) @@ fun srv ->
   let c = connect_ok srv in
-  check_int "negotiated v2" 2 (Client.version c);
   (match
      Client.query_traced ~span:7 c
        "SELECT ALL FROM state WHERE state.name = 'SP';"
@@ -655,6 +612,49 @@ let test_data_dir_errors () =
   | exception Mad_store.Err.Mad_error msg ->
     check "typed creation error" true (contains ~affix:"cannot create" msg)
 
+(* [madql serve --data] keeps the timeline frames an earlier run left
+   in timeline.mad: the server loads its side state before it serves
+   and saves it when it stops *)
+let test_serve_keeps_timeline () =
+  in_tmp "timeline" @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "timeline.mad" in
+  let tl = Mad_obs.Timeline.create () in
+  let reg = Mad_obs.Registry.create () in
+  for _ = 1 to 4 do
+    ignore (Mad_obs.Timeline.tick tl reg)
+  done;
+  Mad_obs.Timeline.save tl path;
+  let madql =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/madql.exe"
+  in
+  let log = Filename.concat dir "serve.log" in
+  let out = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+  let pid =
+    Unix.create_process_env madql
+      [| "madql"; "serve"; "-d"; "brazil"; "--data"; dir; "--port"; "0" |]
+      (Array.append [| "MAD_OBS_TICK=0.05" |] (Unix.environment ()))
+      Unix.stdin out out
+  in
+  Unix.close out;
+  let rec await n =
+    let text = In_channel.with_open_bin log In_channel.input_all in
+    if contains ~affix:"listening on" text then true
+    else if n = 0 then false
+    else begin
+      Unix.sleepf 0.05;
+      await (n - 1)
+    end
+  in
+  let up = await 400 in
+  Unix.kill pid Sys.sigterm;
+  ignore (Unix.waitpid [] pid);
+  check "server came up" true up;
+  let tl2 = Mad_obs.Timeline.create () in
+  check "timeline.mad still loads" true (Mad_obs.Timeline.load tl2 path);
+  check "the earlier frames are kept" true
+    (List.length (Mad_obs.Timeline.frames tl2) >= 4)
+
 let suite =
   [
     Alcotest.test_case "wire round trip" `Quick test_wire_roundtrip;
@@ -667,10 +667,7 @@ let suite =
       test_coordinator_leader_failure;
     Alcotest.test_case "basic requests" `Quick test_basic_requests;
     Alcotest.test_case "handshake version mismatch" `Quick test_version_mismatch;
-    Alcotest.test_case "v1 client against a v2 server" `Quick
-      test_v1_client_v2_server;
-    Alcotest.test_case "v2 client auto-downgrades to a v1 server" `Quick
-      test_v2_client_v1_server;
+    Alcotest.test_case "handshake refuses wire v1" `Quick test_v1_refused;
     Alcotest.test_case "request phases partition latency" `Quick
       test_phase_breakdown;
     Alcotest.test_case "admission control says busy" `Quick test_admission_busy;
@@ -682,4 +679,6 @@ let suite =
     Alcotest.test_case "connections trace on their own tracks" `Quick
       test_connection_tracks;
     Alcotest.test_case "typed data-dir errors" `Quick test_data_dir_errors;
+    Alcotest.test_case "serve start/stop keeps timeline frames" `Quick
+      test_serve_keeps_timeline;
   ]

@@ -256,19 +256,20 @@ let test_timeline_mad_probe_state_and_garbage () =
   let text =
     String.concat "\n"
       [
-        "# MAD timeline v1";
+        "# MAD timeline v2";
         "frame 4 12.5 12500 1";
-        "pt c 9 0 requests svc=api";
-        "probe latency abc 250.5 2 1";
+        "pt c 9 0 'requests' 'svc' 'api'";
+        "probe 'latency' 'abc' 250.5 2 1";
         "this line is garbage and must be skipped";
-        "pt g 1 0 orphaned.point.without.frame";
+        "pt g 1 0 'orphaned.point.without.frame'";
         "";
       ]
   in
   let tl = Timeline.create () in
-  (match Timeline.merge_string tl text with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "merge failed: %s" e);
+  let warnings = ref 0 in
+  check "merged" true
+    (Timeline.merge_string ~warn:(fun _ -> incr warnings) tl text);
+  check_int "one warning for the skipped records" 1 !warnings;
   check_int "one frame" 1 (List.length (Timeline.frames tl));
   let f = List.hd (Timeline.frames tl) in
   check_int "frame seq" 4 f.Timeline.f_seq;
@@ -287,28 +288,28 @@ let test_timeline_mad_probe_state_and_garbage () =
      clears it *)
   check "restored probe degrades health" true
     (Timeline.health tl = Timeline.Degraded);
-  (* bad header is an error, not a crash *)
-  check "bad header rejected" true
-    (match Timeline.merge_string (Timeline.create ()) "# nonsense" with
-     | Error _ -> true
-     | Ok () -> false)
+  (* a bad header (a v1 file among them) is ignored, not a crash *)
+  List.iter
+    (fun text ->
+      check "bad header rejected" false
+        (Timeline.merge_string ~warn:ignore (Timeline.create ()) text))
+    [ "# nonsense"; "# MAD timeline v1\nprobe latency abc 250.5 2 1\n" ]
 
-(* names and label values carrying the format's structural characters
-   (space, comma, equals, percent) must round-trip through the
-   percent-encoding, and a literal "-" probe label must stay distinct
-   from the empty-label marker *)
+(* names and label values carrying structural characters (space,
+   comma, equals, percent, quote, line break) must round-trip through
+   the quoting, and a literal "-" probe label must stay distinct from
+   the empty label *)
 let test_timeline_mad_escaping () =
   let tl = Timeline.create () in
   let reg = Registry.create () in
   let c =
-    Registry.counter reg ~labels:[ ("q", "a=1, b=2 % done") ] "odd name"
+    Registry.counter reg ~labels:[ ("q", "a=1, b=2 % 'done'\n") ] "odd name"
   in
   Metric.add c 7;
   ignore (Timeline.tick tl reg);
   let tl2 = Timeline.create () in
-  (match Timeline.merge_string tl2 (Timeline.to_string tl) with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "merge failed: %s" e);
+  check "merged" true
+    (Timeline.merge_string ~warn:Alcotest.fail tl2 (Timeline.to_string tl));
   let f = List.hd (Timeline.frames tl2) in
   let pt =
     match
@@ -320,24 +321,18 @@ let test_timeline_mad_escaping () =
     | None -> Alcotest.fail "escaped point not restored"
   in
   check "label value round-trips" true
-    (pt.Timeline.p_labels = [ ("q", "a=1, b=2 % done") ]);
+    (pt.Timeline.p_labels = [ ("q", "a=1, b=2 % 'done'\n") ]);
   check "value preserved" true (pt.Timeline.p_value = 7.0);
   let tl3 = Timeline.create () in
-  (match
-     Timeline.merge_string tl3 "# MAD timeline v1\nprobe latency %2D 5.0 1 0\n"
-   with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "merge failed: %s" e);
-  (match Timeline.probes tl3 with
-   | [ p ] -> check "dash label decoded" true (p.Probe.p_label = "-")
-   | ps -> Alcotest.failf "expected 1 probe, got %d" (List.length ps));
+  check "merged" true
+    (Timeline.merge_string ~warn:Alcotest.fail tl3
+       "# MAD timeline v2\nprobe 'latency' '-' 5.0 1 0\nprobe 'latency' '' 6.0 1 0\n");
+  let labels tl = List.map (fun p -> p.Probe.p_label) (Timeline.probes tl) in
+  check "dash and empty labels decoded" true (labels tl3 = [ "-"; "" ]);
   let tl4 = Timeline.create () in
-  (match Timeline.merge_string tl4 (Timeline.to_string tl3) with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "merge failed: %s" e);
-  match Timeline.probes tl4 with
-  | [ p ] -> check "dash label re-round-trips" true (p.Probe.p_label = "-")
-  | ps -> Alcotest.failf "expected 1 probe, got %d" (List.length ps)
+  check "merged" true
+    (Timeline.merge_string ~warn:Alcotest.fail tl4 (Timeline.to_string tl3));
+  check "dash and empty labels re-round-trip" true (labels tl4 = [ "-"; "" ])
 
 let test_exports_parse () =
   let tl = Timeline.create () in
