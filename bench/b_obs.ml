@@ -121,9 +121,7 @@ let run () =
   (* -- the workload digest's price on the Fig. 1 query path (b_q1) -- *)
   Bench_util.subsection "digest overhead (brazil b_q1 statement)";
   let brazil = Geo_brazil.db (Geo_brazil.build ()) in
-  (* the full wiring: Adaptive's plan hasher (memoized after the first
-     call) feeds the digest, exactly as under madql *)
-  Prima.Adaptive.install ();
+  (* the digest hashes the plan that ran, memoized per fingerprint *)
   let q1 = "SELECT ALL FROM mt_state(state-area-edge-point);" in
   let mk () =
     Mad_mql.Session.create ~obs:(Mad_obs.Obs.create ()) brazil

@@ -6,31 +6,41 @@
 
 module Table = Mad_store.Table
 open Workloads
-module P = Prima.Planner
-module X = Prima.Executor
-module AI = Prima.Atom_interface
+module T = Mad_mql.Translate
 
 let run () =
   Bench_util.section
     "Q2 - point neighborhood with restriction (pushdown ablation)";
 
-  let query gdb name =
-    {
-      P.name;
-      desc = Geo_schema.point_neighborhood_desc gdb;
-      where = Some Mad.Qual.(attr "point" "name" =% str name);
-      select = None;
-    }
+  (* the query pipeline's plan for Q2: naive (derive all molecules,
+     then filter) or rewritten (root restriction pushed into the scan) *)
+  let plan ~optimize gdb name =
+    let p =
+      T.P_restrict
+        ( Mad.Qual.(attr "point" "name" =% str name),
+          T.alpha ~name:"q2" (Geo_schema.point_neighborhood_desc gdb) )
+    in
+    if optimize then T.optimize p else p
+  in
+  let work ~optimize gdb name =
+    let stats = Mad.Derive.stats () in
+    match T.run ~stats gdb (fun _ -> None) (plan ~optimize gdb name) with
+    | T.Molecules mt ->
+      ( Mad.Molecule_type.cardinality mt,
+        Mad.Derive.atoms_visited stats + Mad.Derive.links_traversed stats )
+    | T.Recursive _ | T.Cycles _ -> assert false
   in
 
   (* correctness on the paper instance *)
   let brazil = Geo_brazil.build () in
   let db = Geo_brazil.db brazil in
-  let naive, optimized = X.compare_plans db (query db "pn") in
+  let n_naive, w_naive = work ~optimize:false db "pn" in
+  let n_opt, w_opt = work ~optimize:true db "pn" in
+  assert (n_naive = n_opt);
   Format.printf
-    "result: %d molecule (pn); naive counters: %a; optimized: %a@."
-    (Mad.Molecule_type.cardinality optimized.X.mt)
-    AI.pp_counters naive.X.counters AI.pp_counters optimized.X.counters;
+    "result: %d molecule (pn); derivation work (atoms + links): naive %d, \
+     optimized %d@."
+    n_opt w_naive w_opt;
 
   let t =
     Table.create
@@ -44,14 +54,15 @@ let run () =
       let g = Geo_gen.build p in
       let gdb = g.Geo_grid.db in
       (* restrict to one named point of the generated grid *)
-      let q = query gdb "p1_1" in
+      let env _ = None in
+      let naive = plan ~optimize:false gdb "p1_1"
+      and optimized = plan ~optimize:true gdb "p1_1" in
       let naive_ns =
-        Bench_util.time_ns ("q2/naive/" ^ label) (fun () ->
-            X.run ~optimize:false gdb q)
+        Bench_util.time_ns ("q2/naive/" ^ label) (fun () -> T.run gdb env naive)
       in
       let opt_ns =
         Bench_util.time_ns ("q2/optimized/" ^ label) (fun () ->
-            X.run ~optimize:true gdb q)
+            T.run gdb env optimized)
       in
       let map = Relational.Mapping.of_database gdb in
       let rel_ns =

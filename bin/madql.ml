@@ -94,7 +94,7 @@ let load_side h session =
   let module D = Mad_durable.Durable in
   Option.iter
     (fun (s : Mad_mql.Session.t) ->
-      ignore (Prima.Adaptive.load_session s (D.stats_path h));
+      ignore (Mad_mql.Session.load_catalog s (D.stats_path h));
       Option.iter
         (fun dg -> ignore (Mad_obs.Digest.load dg (D.digest_path h)))
         s.digest)
@@ -109,7 +109,7 @@ let save_side side =
   let module D = Mad_durable.Durable in
   Option.iter
     (fun (s : Mad_mql.Session.t) ->
-      ignore (Prima.Adaptive.save_session s (D.stats_path side.h));
+      ignore (Mad_mql.Session.save_catalog s (D.stats_path side.h));
       Option.iter
         (fun dg -> Mad_obs.Digest.save dg (D.digest_path side.h))
         s.digest)
@@ -246,7 +246,7 @@ let repl db_name data slow =
         loop ()
       end
       else if String.equal trimmed ":drift" then begin
-        Format.printf "%s@." (Prima.Adaptive.report session);
+        Format.printf "%s@." (Mad_mql.Session.drift_report session);
         loop ()
       end
       else if String.equal trimmed ":top" then begin
@@ -318,20 +318,17 @@ let profile_arg =
     & opt ~vopt:(Some "pretty") (some string) None
     & info [ "profile" ] ~docv:"FORMAT" ~doc)
 
-let profile_report session fmt stmt =
-  let db = session.Mad_mql.Session.db in
-  match (fmt, Prima.Profile.query_of_stmt db stmt) with
-  | "json", Some q ->
-    Format.printf "%s@."
-      (Mad_obs.Json.to_string (Prima.Profile.to_json (Prima.Profile.analyze db q)))
-  | "pretty", Some q ->
-    Format.printf "%a" Prima.Profile.pp (Prima.Profile.analyze db q)
-  | ("pretty" | "json"), None ->
-    (* no physical plan (DML, set combinators, recursion): the textual
-       fallback reports session-level actuals *)
-    Format.printf "%s@." (Prima.Profile.analyze_stmt session stmt)
-  | other, _ ->
-    Err.failf "unknown profile format %s (expected pretty or json)" other
+(* print the reply and the profile of the one run that produced it *)
+let print_reply reply =
+  print_string reply;
+  if reply <> "" && reply.[String.length reply - 1] <> '\n' then
+    print_newline ()
+
+let profile_report fmt (r : Mad_mql.Profile.t) =
+  match fmt with
+  | "json" ->
+    Format.printf "%s@." (Mad_obs.Json.to_string (Mad_mql.Profile.to_json r))
+  | _ -> Format.printf "%a@." Mad_mql.Profile.pp r
 
 let trace_arg =
   let doc =
@@ -344,11 +341,17 @@ let trace_arg =
 let query db_name data profile trace slow stmt =
   handle @@ fun () ->
   apply_slow slow;
+  (match profile with
+   | Some ("pretty" | "json") | None -> ()
+   | Some other ->
+     Err.failf "unknown profile format %s (expected pretty or json)" other);
   (with_session db_name data @@ fun session _durable ->
-   print_string (Mad_mql.Session.run_to_string session stmt);
    match profile with
-   | None -> ()
-   | Some fmt -> profile_report session fmt (Mad_mql.Session.parse session stmt));
+   | None -> print_string (Mad_mql.Session.run_to_string session stmt)
+   | Some fmt ->
+     let outcome, r = Mad_mql.Session.run_profiled session stmt in
+     print_reply (Mad_mql.Session.render session outcome);
+     profile_report fmt r);
   (* dump after the session closed so the final group commit's fsync is
      part of the trace *)
   match trace with None -> () | Some path -> write_trace path
@@ -370,21 +373,16 @@ let analyze_arg =
 let explain db_name data analyze stmt =
   handle @@ fun () ->
   with_session db_name data @@ fun session _durable ->
-  let db = session.Mad_mql.Session.db in
   if analyze then
     Format.printf "%s@."
-      (Prima.Profile.analyze_stmt session (Mad_mql.Session.parse session stmt))
-  else begin
-    Format.printf "algebra: %s@." (Mad_mql.Session.explain session stmt);
-    (* if the statement is a plain restricted query, also show PRIMA's
-       physical plan *)
-    match Prima.Profile.query_of_stmt db (Mad_mql.Session.parse session stmt) with
-    | Some q -> Format.printf "%s" (Prima.Stats.explain_with_estimates db q)
-    | None -> ()
-  end
+      (Mad_mql.Session.run_to_string session ("EXPLAIN ANALYZE " ^ stmt))
+  else
+    Format.printf "%s@." (Mad_mql.Session.explain ~estimates:true session stmt)
 
 let explain_cmd =
-  Cmd.v (Cmd.info "explain" ~doc:"Show the algebra and PRIMA plans")
+  Cmd.v
+    (Cmd.info "explain"
+       ~doc:"Show the plan the statement runs, with estimated work")
     Term.(const explain $ db_arg $ data_arg $ analyze_arg $ stmt_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1398,10 +1396,6 @@ let connect_cmd =
       $ client_health_arg $ connect_trace_arg $ connect_stmts_arg)
 
 let () =
-  (* route the session layer's EXPLAIN ANALYZE to the learning PRIMA
-     profiler: estimates come from (and actuals feed back into) each
-     session's adaptive catalog *)
-  Prima.Adaptive.install ();
   let info =
     Cmd.info "madql" ~version:"1.0"
       ~doc:"The MOL (molecule query language) processor over the MAD model"

@@ -102,18 +102,8 @@ let () =
   let report = Mad.Closure.check_molecule_type db both in
   Format.printf "%a@." Mad.Closure.pp_report report;
 
-  rule "EXPLAIN - PRIMA's optimized plan for the pn query";
-  let q =
-    {
-      Prima.Planner.name = "pn_query";
-      desc = Geo_brazil.point_neighborhood_desc brazil;
-      where = Some Mad.Qual.(attr "point" "name" =% str "pn");
-      select = None;
-    }
-  in
-  print_string (Prima.Executor.explain q);
-  let naive, optimized = Prima.Executor.compare_plans db q in
-  Format.printf "naive:     %a@." Prima.Atom_interface.pp_counters
-    naive.Prima.Executor.counters;
-  Format.printf "optimized: %a@." Prima.Atom_interface.pp_counters
-    optimized.Prima.Executor.counters
+  rule "EXPLAIN ANALYZE - the rewritten plan for the pn query";
+  (* the root restriction runs in the point scan: one molecule derived *)
+  Format.printf "%s@.@." (Mad_mql.Session.explain ~estimates:true session q2);
+  Format.printf "%s@."
+    (Mad_mql.Session.run_to_string session ("EXPLAIN ANALYZE " ^ q2))

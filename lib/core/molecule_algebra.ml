@@ -31,9 +31,14 @@ let op_span obs op f = Mad_obs.Obs.timed obs ("molecule_algebra." ^ op) f
 (* ------------------------------------------------------------------ *)
 (* α — molecule-type definition (Def. 8)                                *)
 
-let define ?(obs = Mad_obs.Obs.noop) ?stats db ~name desc =
+let define ?(obs = Mad_obs.Obs.noop) ?stats ?roots db ~name desc =
   op_span obs "define" @@ fun () ->
-  Molecule_type.v ~name ~desc (Derive.m_dom ?stats db desc)
+  let occ =
+    match roots with
+    | None -> Derive.m_dom ?stats db desc
+    | Some roots -> Derive.derive_roots ?stats db desc roots
+  in
+  Molecule_type.v ~name ~desc occ
 
 (** Convenience: build and validate the description, then define.
     [edges] are triples [(link, from_at, to_at)]. *)

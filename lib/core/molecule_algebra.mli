@@ -20,11 +20,15 @@ val gen_name : string -> string
 val define :
   ?obs:Mad_obs.Obs.t ->
   ?stats:Derive.stats ->
+  ?roots:Aid.t list ->
   Database.t ->
   name:string ->
   Mdesc.t ->
   Molecule_type.t
-(** α — molecule-type definition (Def. 8). *)
+(** α — molecule-type definition (Def. 8).  [roots] (default: every
+    atom of the root type) restricts the occurrence to the molecules
+    of those root atoms, in the given order — the root scan of a
+    restriction pushed into α. *)
 
 val define' :
   ?obs:Mad_obs.Obs.t ->

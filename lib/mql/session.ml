@@ -12,20 +12,20 @@ type outcome =
   | Dml of string  (** summary of a manipulation statement's effect *)
   | Explained of string  (** EXPLAIN / EXPLAIN ANALYZE report *)
 
-(** Extension slot for upper layers: this library sits below the
-    physical engine, so per-session state owned by PRIMA (the adaptive
-    statistics catalog, see [Prima.Adaptive]) is carried opaquely via
-    an extensible variant rather than a direct dependency. *)
-type ext = ..
-
 type commit_handle = int
+
+type plan_memo = { refinements_at : int; types_at : int; hash : int }
+
+type drift_entry = {
+  de_stmt : string;  (** the statement kind the drift came from *)
+  de_drift : Profile.drift;
+}
 
 type t = {
   db : Database.t;
   env : (string, Mad.Molecule_type.t) Hashtbl.t;
   stats : Mad.Derive.stats;
   obs : Mad_obs.Obs.t;
-  mutable ext : ext option;
   mutable commit_hooks : (commit_handle * (unit -> unit)) list;
       (** Run, in registration order, after every successful
           manipulation statement — the statement-level durability
@@ -39,9 +39,6 @@ type t = {
   mutable digest : Mad_obs.Digest.t option;
       (** Workload digest; [None] (the default) records nothing.
           {!enable_digest} creates one against the session registry. *)
-  mutable slow_guard : bool;
-      (** True while a slow-log capture is re-running the statement
-          (EXPLAIN ANALYZE) — suppresses recursive slow-logging. *)
   fp_cache : (string, int * string) Hashtbl.t;
       (** source text -> (fingerprint, normalized text): normalization
           prints the whole AST, so a repeated statement must not pay it
@@ -60,19 +57,20 @@ type t = {
           committed nothing.  The server takes-and-resets this to
           attribute the WAL share of a request's latency to its own
           phase ({!take_last_commit_us}). *)
+  mutable catalog : Prima.Stats.t option;
+      (** the adaptive statistics catalog: collected on first use
+          (never at DEFINE), refined by every EXPLAIN ANALYZE *)
+  mutable refinements : int;
+  mutable drifts : drift_entry list;  (** newest first *)
+  mutable last_plan : Translate.plan option;
+      (** the plan the last statement ran, for its digest row *)
+  mutable last_error : float option;
+      (** the last EXPLAIN ANALYZE's estimate error, for its digest row *)
+  plan_memo : (int, plan_memo) Hashtbl.t;
+      (** fingerprint -> plan hash: a statement shape plans alike until
+          the statistics catalog refines or a DEFINE changes what its
+          names mean *)
 }
-
-(** [EXPLAIN ANALYZE] needs the physical engine, which lives above this
-    library; installing a profiler (see [Prima.Adaptive.install]) routes
-    the statement there.  Without one, ANALYZE falls back to executing
-    the statement and reporting the session-level actuals. *)
-let analyze_hook : (t -> Ast.stmt -> string) option ref = ref None
-
-(** The digest needs the physical plan's identity, which also lives
-    above this library; [Prima.Adaptive.install] registers a hasher
-    here.  Without one, digest rows fall back to a per-statement-kind
-    pseudo plan. *)
-let plan_hash_hook : (t -> fp:int -> Ast.stmt -> int) option ref = ref None
 
 let create ?obs db =
   let obs = match obs with Some o -> o | None -> Mad_obs.Obs.default () in
@@ -84,15 +82,19 @@ let create ?obs db =
     env = Hashtbl.create 16;
     stats = Mad.Derive.stats_in (Mad_obs.Obs.registry obs);
     obs;
-    ext = None;
     commit_hooks = [];
     hook_seq = 0;
     digest = None;
-    slow_guard = false;
     fp_cache = Hashtbl.create 64;
     fp_mru = None;
     refreshed_epoch = Database.epoch db;
     last_commit_us = 0.0;
+    catalog = None;
+    refinements = 0;
+    drifts = [];
+    last_plan = None;
+    last_error = None;
+    plan_memo = Hashtbl.create 16;
   }
 
 let enable_digest t =
@@ -144,28 +146,32 @@ let parse t src = Parser.parse ~env_has:(Hashtbl.mem t.env) src
 
 (* A named FROM definition ([mt_state(state-area-edge-point)]) enters
    the session catalog, as in ch. 4's mt_state example, and the query
-   proceeds against the catalogued type. *)
-let rec hoist_from t (from : Ast.from_item) : Ast.from_item =
-  match from with
-  | Ast.From_named_def (name, s) ->
-    (match lookup t name with
-     | Some _ -> ()
-     | None ->
-       let desc = Translate.resolve_structure t.db s in
-       define t name (Mad.Molecule_algebra.define ~stats:t.stats t.db ~name desc));
-    Ast.From_ref name
-  | Ast.From_product (a, b) -> Ast.From_product (hoist_from t a, hoist_from t b)
-  | (Ast.From_anon _ | Ast.From_ref _ | Ast.From_recursive _ | Ast.From_cycle _)
-    as f ->
-    f
+   proceeds against the catalogued type: the plan refers to it by
+   name, whole, so nothing is pushed into it. *)
+let catalogued t name s =
+  match lookup t name with
+  | Some mt -> mt
+  | None ->
+    let desc = Translate.resolve_structure t.db s in
+    let mt = Mad.Molecule_algebra.define ~stats:t.stats t.db ~name desc in
+    define t name mt;
+    mt
 
-let rec hoist_definitions t (q : Ast.qexpr) : Ast.qexpr =
+let rec hoist t (q : Ast.qexpr) =
+  let rec from = function
+    | Ast.From_named_def (name, s) -> ignore (catalogued t name s)
+    | Ast.From_product (a, b) ->
+      from a;
+      from b
+    | Ast.From_anon _ | Ast.From_ref _ | Ast.From_recursive _ | Ast.From_cycle _
+      ->
+      ()
+  in
   match q with
-  | Ast.Q core -> Ast.Q { core with Ast.from = hoist_from t core.Ast.from }
-  | Ast.Union (a, b) -> Ast.Union (hoist_definitions t a, hoist_definitions t b)
-  | Ast.Diff (a, b) -> Ast.Diff (hoist_definitions t a, hoist_definitions t b)
-  | Ast.Intersect (a, b) ->
-    Ast.Intersect (hoist_definitions t a, hoist_definitions t b)
+  | Ast.Q core -> from core.Ast.from
+  | Ast.Union (a, b) | Ast.Diff (a, b) | Ast.Intersect (a, b) ->
+    hoist t a;
+    hoist t b
 
 (* Manipulation statements change the occurrence, so cached molecule
    types in the catalog are re-derived afterwards (dynamic object
@@ -202,58 +208,78 @@ let refresh t =
     t.refreshed_epoch <- e
   end
 
-(* Resolve a DML target: the base molecule type plus the victims
-   selected by the optional qualification. *)
-let dml_target t from where =
-  let mt =
-    match from with
-    | Ast.From_named_def (name, s) -> begin
-      match lookup t name with
-      | Some mt -> mt
-      | None ->
-        let desc = Translate.resolve_structure t.db s in
-        let mt = Mad.Molecule_algebra.define ~stats:t.stats t.db ~name desc in
-        define t name mt;
-        mt
-    end
-    | Ast.From_ref name -> begin
-      match lookup t name with
-      | Some mt -> mt
-      | None -> Err.failf "unknown molecule type %s" name
-    end
-    | Ast.From_anon s ->
-      let desc = Translate.resolve_structure t.db s in
-      Mad.Molecule_algebra.define ~stats:t.stats t.db
-        ~name:(Mad.Molecule_algebra.gen_name "dml")
-        desc
-    | Ast.From_recursive _ | Ast.From_cycle _ ->
-      Err.failf "manipulation statements do not accept recursive targets"
-    | Ast.From_product _ ->
-      Err.failf "manipulation statements do not accept product targets"
-  in
-  let victims =
-    match where with
-    | None -> Mad.Molecule_type.occ mt
-    | Some pred ->
-      Mad.Molecule_algebra.typecheck_qual t.db mt pred;
-      List.filter
-        (fun m -> Mad.Molecule_algebra.molecule_satisfies t.db mt m pred)
-        (Mad.Molecule_type.occ mt)
-  in
-  (mt, victims)
+(* ------------------------------------------------------------------ *)
+(* The adaptive statistics catalog                                      *)
 
-(** EXPLAIN: the algebra plan a statement compiles to. *)
-let rec explain_stmt t (stmt : Ast.stmt) =
-  match stmt with
-  | Ast.Define (name, s) ->
-    Format.asprintf "α[%s](%a)" name Mad.Mdesc.pp
-      (Translate.resolve_structure t.db s)
-  | Ast.Query q ->
-    Format.asprintf "%a" Translate.pp_plan (Translate.compile t.db (lookup t) q)
-  | Ast.Explain { analyze = _; stmt } -> explain_stmt t stmt
-  | (Ast.Insert _ | Ast.Link _ | Ast.Unlink _ | Ast.Delete _ | Ast.Modify _) as
-    stmt ->
-    Format.asprintf "manipulation: %a" Ast.pp_stmt stmt
+let drift_factor =
+  match Option.map float_of_string_opt (Sys.getenv_opt "MAD_DRIFT_FACTOR") with
+  | Some (Some f) when Float.is_finite f && f >= 1.0 -> f
+  | _ -> 2.0
+
+let catalog t =
+  match t.catalog with
+  | Some c -> c
+  | None ->
+    let c = Prima.Stats.collect t.db in
+    t.catalog <- Some c;
+    c
+
+let save_catalog t path =
+  match t.catalog with
+  | Some c ->
+    Prima.Catalog_io.save c path;
+    true
+  | None -> false
+
+let load_catalog t path =
+  match Prima.Catalog_io.load_opt path with
+  | None -> false
+  | Some c ->
+    t.catalog <- Some c;
+    t.refinements <- t.refinements + 1;
+    true
+
+(* Feed one profiled run back: log its drift against the threshold
+   and refine the catalog with its actuals, exponentially weighted
+   (repeated queries dominate, one outlier cannot wreck the catalog). *)
+let learn t ~stmt (r : Profile.t) =
+  let drifted = Profile.drift ~factor:drift_factor r in
+  t.drifts <-
+    List.rev_append
+      (List.rev_map (fun d -> { de_stmt = stmt; de_drift = d }) drifted)
+      t.drifts;
+  t.catalog <- Some (Profile.refine ~alpha:0.5 (catalog t) r);
+  t.refinements <- t.refinements + 1;
+  t.last_error <- Some (Profile.error r);
+  drifted
+
+let pp_drift_report ppf t =
+  if t.refinements = 0 && t.drifts = [] then
+    Fmt.pf ppf "adaptive catalog: no profiled runs yet"
+  else begin
+    Fmt.pf ppf
+      "@[<v>adaptive catalog: %d refinement(s), drift threshold %.1fx@,"
+      t.refinements drift_factor;
+    match t.drifts with
+    | [] -> Fmt.pf ppf "no drift recorded@]"
+    | ds ->
+      Fmt.pf ppf "%a@]"
+        Fmt.(
+          list ~sep:(any "@,") (fun ppf e ->
+              Fmt.pf ppf "%s: %a" e.de_stmt Profile.pp_drift e.de_drift))
+        (List.rev ds)
+  end
+
+let drift_report t = Format.asprintf "%a" pp_drift_report t
+
+(* ------------------------------------------------------------------ *)
+(* Planning                                                             *)
+
+(** The plan a query runs: the naive translation, rewritten. *)
+let plan t q =
+  Translate.optimize
+    ~catalog:(fun () -> catalog t)
+    (Translate.compile t.db (lookup t) q)
 
 let stmt_kind = function
   | Ast.Define _ -> "define"
@@ -264,6 +290,92 @@ let stmt_kind = function
   | Ast.Delete _ -> "delete"
   | Ast.Modify _ -> "modify"
   | Ast.Explain _ -> "explain"
+
+(* the plan of a statement, noted for its digest row; manipulation
+   statements have none *)
+let rec plan_stmt t (stmt : Ast.stmt) =
+  let p =
+    match stmt with
+    | Ast.Define (name, s) ->
+      Some (Translate.alpha ~name (Translate.resolve_structure t.db s))
+    | Ast.Query q -> Some (plan t q)
+    | Ast.Explain { stmt; _ } -> plan_stmt t stmt
+    | Ast.Insert _ | Ast.Link _ | Ast.Unlink _ | Ast.Delete _ | Ast.Modify _ ->
+      None
+  in
+  t.last_plan <- p;
+  p
+
+(** EXPLAIN: the plan the statement runs; [detail] annotates each α. *)
+let explain_stmt ?detail t (stmt : Ast.stmt) =
+  match plan_stmt t stmt with
+  | Some p -> Format.asprintf "%a" (Translate.pp_plan ?detail) p
+  | None -> Format.asprintf "manipulation: %a" Ast.pp_stmt stmt
+
+let estimates_of t (a : Translate.alpha) =
+  [ Format.asprintf "%a" Prima.Stats.pp_estimate
+      (Prima.Stats.estimate (catalog t) ~root_pred:a.push a.derive) ]
+
+(* ------------------------------------------------------------------ *)
+(* Execution                                                            *)
+
+let run_plan ?observe t p =
+  Translate.run ~obs:t.obs ~stats:t.stats ?observe t.db (lookup t) p
+
+(* the molecule type of a plan over a structure (α, Σ, Π) *)
+let molecules ?observe t p =
+  match run_plan ?observe t p with
+  | Translate.Molecules mt -> mt
+  | Translate.Recursive _ | Translate.Cycles _ -> assert false
+
+(* Resolve a DML target: the base molecule type plus the victims
+   selected by the optional qualification.  DELETE needs the whole
+   occurrence: the shared-subobject rule spares atoms that surviving
+   molecules hold.  MODIFY needs only the victims, so over an
+   anonymous structure it derives just the qualifying roots. *)
+let dml_target t ~whole from where =
+  let victims mt =
+    match where with
+    | None -> Mad.Molecule_type.occ mt
+    | Some q -> Mad.Molecule_type.occ (Mad.Molecule_algebra.restrict t.db q mt)
+  in
+  let named mt = (mt, victims mt) in
+  match from with
+  | Ast.From_named_def (name, s) -> named (catalogued t name s)
+  | Ast.From_ref name -> begin
+    match lookup t name with
+    | Some mt -> named mt
+    | None -> Err.failf "unknown molecule type %s" name
+  end
+  | Ast.From_anon s ->
+    let a =
+      Translate.alpha
+        ~name:(Mad.Molecule_algebra.gen_name "dml")
+        (Translate.resolve_structure t.db s)
+    in
+    if whole then named (molecules t a)
+    else
+      let p =
+        match where with
+        | None -> a
+        | Some q -> Translate.optimize (Translate.P_restrict (q, a))
+      in
+      let mt = molecules t p in
+      (mt, Mad.Molecule_type.occ mt)
+  | Ast.From_recursive _ | Ast.From_cycle _ ->
+    Err.failf "manipulation statements do not accept recursive targets"
+  | Ast.From_product _ ->
+    Err.failf "manipulation statements do not accept product targets"
+
+let rows_of = function
+  | Defined mt | Result (Translate.Molecules mt) ->
+    List.length (Mad.Molecule_type.occ mt)
+  | Result (Translate.Recursive r) ->
+    List.length r.Mad_recursive.Recursive.occ
+  | Result (Translate.Cycles c) ->
+    List.length c.Mad_recursive.Recursive.cocc
+  | Inserted _ -> 1
+  | Dml _ | Explained _ -> 0
 
 (* Fault injection for health-probe smoke tests ([madql health
    --inject-slow]): busy-wait on {!Mad_obs.Monotonic.clock} inside the
@@ -282,57 +394,32 @@ let fault_spin () =
     done
   | Some _ | None -> ()
 
-let rec eval_stmt_inner t (stmt : Ast.stmt) : outcome =
-  (* one root span per statement; everything the engine does beneath —
-     algebra operators, derivations, closure checks — nests under it *)
+(* the report of a profiled run, right after it (estimates from the
+   adaptive catalog) *)
+let report t rc outcome =
+  Profile.finish rc ~catalog:(catalog t) ~plan:t.last_plan
+    ~rows:(rows_of outcome)
+
+(* one root span per statement; everything the engine does beneath —
+   algebra operators, derivations, closure checks — nests under it *)
+let rec exec ?observe t stmt =
   Mad_obs.Obs.timed t.obs "mql.statement" @@ fun () ->
   fault_spin ();
+  body ?observe t stmt
+
+and body ?observe t (stmt : Ast.stmt) : outcome =
+  t.last_plan <- None;
   match stmt with
-  | Ast.Define (name, s) ->
-    let desc = Translate.resolve_structure t.db s in
-    let mt =
-      Mad.Molecule_algebra.define ~obs:t.obs ~stats:t.stats t.db ~name desc
-    in
+  | Ast.Define (name, _) ->
+    let mt = molecules ?observe t (Option.get (plan_stmt t stmt)) in
     define t name mt;
     Defined mt
   | Ast.Query q ->
-    let q = hoist_definitions t q in
-    let plan = Translate.compile t.db (lookup t) q in
-    Result (Translate.run ~obs:t.obs ~stats:t.stats t.db (lookup t) plan)
+    let p = Option.get (plan_stmt t stmt) in
+    hoist t q;
+    Result (run_plan ?observe t p)
   | Ast.Explain { analyze = false; stmt } -> Explained (explain_stmt t stmt)
-  | Ast.Explain { analyze = true; stmt } -> begin
-    match !analyze_hook with
-    | Some hook -> Explained (hook t stmt)
-    | None ->
-      (* no physical engine installed: execute anyway and report the
-         session-level actuals against the algebra plan *)
-      let a0 = Mad.Derive.atoms_visited t.stats
-      and l0 = Mad.Derive.links_traversed t.stats in
-      let path = Mad.Derive.describe_path t.db in
-      let t0 = !Mad_obs.Monotonic.clock () in
-      let outcome = eval_stmt_inner t stmt in
-      let ms = (!Mad_obs.Monotonic.clock () -. t0) *. 1000. in
-      let molecules =
-        match outcome with
-        | Result (Translate.Molecules mt) ->
-          Printf.sprintf "%d molecule(s), "
-            (List.length (Mad.Molecule_type.occ mt))
-        | Defined mt ->
-          Printf.sprintf "%d molecule(s), "
-            (List.length (Mad.Molecule_type.occ mt))
-        | Result (Translate.Recursive _ | Translate.Cycles _)
-        | Inserted _ | Dml _ | Explained _ ->
-          ""
-      in
-      Explained
-        (Format.asprintf
-           "%s@.derive: %s@.actual: %s%d atoms visited, %d links traversed \
-            (%.2f ms)"
-           (explain_stmt t stmt) path molecules
-           (Mad.Derive.atoms_visited t.stats - a0)
-           (Mad.Derive.links_traversed t.stats - l0)
-           ms)
-  end
+  | Ast.Explain { analyze = true; stmt } -> Explained (analyze t stmt)
   | Ast.Insert { atype; values; links } ->
     let atom = Mad.Manipulate.insert_atom_linked t.db ~atype values ~links in
     refresh t;
@@ -356,7 +443,7 @@ let rec eval_stmt_inner t (stmt : Ast.stmt) : outcome =
     commit t;
     Dml (Printf.sprintf "unlinked @%d and @%d via %s" left right lt)
   | Ast.Delete { from; where; detach } ->
-    let mt, victims = dml_target t from where in
+    let mt, victims = dml_target t ~whole:true from where in
     let mode = if detach then `Unlink_only else `Shared_safe in
     let report = Mad.Manipulate.delete_molecules ~mode t.db mt victims in
     refresh t;
@@ -368,41 +455,65 @@ let rec eval_stmt_inner t (stmt : Ast.stmt) : outcome =
          report.Mad.Manipulate.atoms_deleted
          report.Mad.Manipulate.atoms_kept_shared)
   | Ast.Modify { node; attr; value; from; where } ->
-    let _, victims = dml_target t from where in
+    let _, victims = dml_target t ~whole:false from where in
     let n = Mad.Manipulate.modify_attribute t.db ~node ~attr value victims in
     refresh t;
     commit t;
     Dml (Printf.sprintf "modified %s.%s on %d atom(s)" node attr n)
 
+(* Run [stmt] once under a profile recorder: the outcome and the report
+   of that run. *)
+and profiled ~run t stmt =
+  let rc = Profile.start t.db t.stats in
+  let outcome = run ?observe:(Some (Profile.observe rc)) t stmt in
+  (outcome, rc)
+
+(* EXPLAIN ANALYZE: run the statement once, report its plan with the
+   actuals, and feed them back into the adaptive catalog. *)
+and analyze t stmt =
+  let outcome, rc = profiled ~run:body t stmt in
+  let r = report t rc outcome in
+  let drifted = learn t ~stmt:(stmt_kind stmt) r in
+  Format.asprintf "%s%a@.%a"
+    (match r.Profile.plan with
+     | Some _ -> ""
+     | None -> Format.asprintf "manipulation: %a@." Ast.pp_stmt stmt)
+    Profile.pp r
+    (fun ppf -> function
+      | [] ->
+        Fmt.pf ppf "adaptive: catalog refined (%d run(s)); no drift over %.1fx"
+          t.refinements drift_factor
+      | ds ->
+        Fmt.pf ppf "adaptive: catalog refined (%d run(s)); drift over %.1fx: %a"
+          t.refinements drift_factor
+          Fmt.(list ~sep:(any "; ") Profile.pp_drift)
+          ds)
+    drifted
+
 (* ------------------------------------------------------------------ *)
 (* Workload digest & slow-query log                                     *)
 
-let rows_of = function
-  | Defined mt | Result (Translate.Molecules mt) ->
-    List.length (Mad.Molecule_type.occ mt)
-  | Result (Translate.Recursive r) ->
-    List.length r.Mad_recursive.Recursive.occ
-  | Result (Translate.Cycles c) ->
-    List.length c.Mad_recursive.Recursive.cocc
-  | Inserted _ -> 1
-  | Dml _ | Explained _ -> 0
+(* The digest row's plan identity: the hash of the plan that ran,
+   memoized per fingerprint; a statement without a plan is identified
+   by its kind. *)
+let plan_hash t ~fp stmt =
+  match t.last_plan with
+  | None -> Fingerprint.hash ("kind:" ^ stmt_kind stmt)
+  | Some p -> (
+    let types = Hashtbl.length t.env in
+    match Hashtbl.find t.plan_memo fp with
+    | m when m.refinements_at = t.refinements && m.types_at = types -> m.hash
+    | _ | (exception Not_found) ->
+      let hash = Translate.plan_hash p in
+      if Hashtbl.length t.plan_memo >= 1024 then Hashtbl.reset t.plan_memo;
+      Hashtbl.replace t.plan_memo fp
+        { refinements_at = t.refinements; types_at = types; hash };
+      hash)
 
-(* without the physical engine's hasher, the statement kind stands in
-   for the plan — one pseudo plan per kind, so DML still aggregates *)
-let fallback_plan stmt = Fingerprint.hash ("kind:" ^ stmt_kind stmt)
-
-(** Capture a slow statement: full text, algebra plan, EXPLAIN ANALYZE
-    tree (queries only — re-running DML would double-apply it) and the
-    flight-recorder window since the statement started. *)
-let slow_log t stmt ~fp ~plan ~ms ~seq0 =
-  let plan_text =
-    try explain_stmt t stmt with _ -> "<plan unavailable>"
-  in
-  let analyze =
-    match (stmt, !analyze_hook) with
-    | Ast.Query _, Some hook -> ( try Some (hook t stmt) with _ -> None)
-    | _ -> None
-  in
+(** Capture a slow statement: full text, plan, the profile of its run
+    (when it ran a plan) and the flight-recorder window since it
+    started. *)
+let slow_log t stmt ~fp ~plan ~ms ~seq0 ~report =
   let events =
     if Mad_obs.Recorder.enabled () then
       List.filter
@@ -416,70 +527,84 @@ let slow_log t stmt ~fp ~plan ~ms ~seq0 =
       sl_fp = fp;
       sl_plan = plan;
       sl_ms = ms;
-      sl_plan_text = plan_text;
-      sl_analyze = analyze;
+      sl_plan_text =
+        (match t.last_plan with
+         | Some p -> Format.asprintf "%a" (fun ppf -> Translate.pp_plan ppf) p
+         | None -> Format.asprintf "manipulation: %a" Ast.pp_stmt stmt);
+      sl_analyze =
+        (match t.last_plan with
+         | Some _ -> Option.map Profile.to_string (report ())
+         | None -> None);
       sl_events = events;
     }
 
-let maybe_slow_log t stmt ~fp ~plan ~ms ~seq0 =
-  match Mad_obs.Digest.slow_threshold_ms () with
-  | Some th when ms >= th && not t.slow_guard ->
-    t.slow_guard <- true;
-    Fun.protect
-      ~finally:(fun () -> t.slow_guard <- false)
-      (fun () -> slow_log t stmt ~fp ~plan ~ms ~seq0)
-  | Some _ | None -> ()
+(* Run [stmt], profiled when [profile]: the outcome and the recorder. *)
+let exec_maybe_profiled ~profile t stmt =
+  if profile then
+    let o, rc = profiled ~run:exec t stmt in
+    (o, Some rc)
+  else (exec t stmt, None)
 
-let eval_stmt ?fp_text t (stmt : Ast.stmt) : outcome =
+(* [profile]: profile the run and return its report.  The slow log,
+   when armed, profiles every run, and reports the slow ones. *)
+let eval ?fp_text ~profile t (stmt : Ast.stmt) =
+  let reply (o, rc) =
+    (o, if profile then Option.map (fun rc -> report t rc o) rc else None)
+  in
   match t.digest with
-  | None -> eval_stmt_inner t stmt
+  | None -> reply (exec_maybe_profiled ~profile t stmt)
   | Some dg ->
     let fp, text =
       match fp_text with
       | Some v -> v
       | None -> Fingerprint.of_stmt stmt
     in
-    let plan =
-      match !plan_hash_hook with
-      | Some h -> ( try h t ~fp stmt with _ -> fallback_plan stmt)
-      | None -> fallback_plan stmt
-    in
+    let slow = Mad_obs.Digest.slow_threshold_ms () in
     let seq0 = Mad_obs.Recorder.recorded (Mad_obs.Recorder.global ()) in
-    (* [eval_stmt_inner] runs under [timed "mql.statement"], whose
-       measurement we reuse; only a noop context (which never times)
-       needs a clock pair of our own *)
+    t.last_error <- None;
+    (* [exec] runs under [timed "mql.statement"], whose measurement we
+       reuse; only a noop context (which never times) needs a clock
+       pair of our own *)
     let noop_obs = Mad_obs.Obs.is_noop t.obs in
     let t0 = if noop_obs then !Mad_obs.Monotonic.clock () else 0.0 in
-    (match eval_stmt_inner t stmt with
-     | outcome ->
-       let ms =
-         if noop_obs then (!Mad_obs.Monotonic.clock () -. t0) *. 1e3
-         else Mad_obs.Obs.last_dur_us t.obs /. 1e3
-       in
-       ignore
-         (Mad_obs.Digest.record dg ~fp ~text ~plan ~latency_us:(ms *. 1e3)
-            ~rows:(rows_of outcome) ~error:false
-            ~exemplar:(Mad_obs.Obs.last_seq t.obs)
-            ());
-       maybe_slow_log t stmt ~fp ~plan ~ms ~seq0;
-       outcome
-     | exception e ->
-       let ms =
-         if noop_obs then (!Mad_obs.Monotonic.clock () -. t0) *. 1e3
-         else Mad_obs.Obs.last_dur_us t.obs /. 1e3
-       in
-       ignore
-         (Mad_obs.Digest.record dg ~fp ~text ~plan ~latency_us:(ms *. 1e3)
-            ~rows:0 ~error:true
-            ~exemplar:(Mad_obs.Obs.last_seq t.obs)
-            ());
-       maybe_slow_log t stmt ~fp ~plan ~ms ~seq0;
-       raise e)
+    let record ~rows ~error ran =
+      let ms =
+        if noop_obs then (!Mad_obs.Monotonic.clock () -. t0) *. 1e3
+        else Mad_obs.Obs.last_dur_us t.obs /. 1e3
+      in
+      let plan = plan_hash t ~fp stmt in
+      ignore
+        (Mad_obs.Digest.record dg ~fp ~text ~plan ~latency_us:(ms *. 1e3) ~rows
+           ~error
+           ~exemplar:(Mad_obs.Obs.last_seq t.obs)
+           ());
+      Option.iter
+        (fun err -> Mad_obs.Digest.note_drift dg ~fp ~text ~plan ~err)
+        t.last_error;
+      match slow with
+      | Some th when ms >= th ->
+        let report () =
+          match ran with
+          | Some (outcome, Some rc) -> Some (report t rc outcome)
+          | Some (_, None) | None -> None
+        in
+        slow_log t stmt ~fp ~plan ~ms ~seq0 ~report
+      | Some _ | None -> ()
+    in
+    match exec_maybe_profiled ~profile:(profile || slow <> None) t stmt with
+    | exception e ->
+      record ~rows:0 ~error:true None;
+      raise e
+    | (outcome, _) as ran ->
+      record ~rows:(rows_of outcome) ~error:false (Some ran);
+      reply ran
 
-(** Parse and evaluate one statement of MOL text.  The parse is timed
-    as its own operator ([op.latency_us{op=mql.parse}]) so digest
-    overhead attribution is complete. *)
-let run t src =
+let eval_stmt ?fp_text t stmt = fst (eval ?fp_text ~profile:false t stmt)
+
+(* Parse and evaluate one statement of MOL text.  The parse is timed as
+   its own operator ([op.latency_us{op=mql.parse}]) so digest overhead
+   attribution is complete. *)
+let eval_src ~profile t src =
   (* the statement path drives the global timeline (interval gated,
      near-free while MAD_OBS_TICK is unset); ticking even when the
      statement raises keeps frames arriving through error storms *)
@@ -490,7 +615,7 @@ let run t src =
   @@ fun () ->
   let stmt = Mad_obs.Obs.timed t.obs "mql.parse" (fun () -> parse t src) in
   match t.digest with
-  | None -> eval_stmt t stmt
+  | None -> eval ~profile t stmt
   | Some _ ->
     let fp_text =
       match t.fp_mru with
@@ -511,11 +636,17 @@ let run t src =
         t.fp_mru <- Some (src, v);
         v
     in
-    eval_stmt ~fp_text t stmt
+    eval ~fp_text ~profile t stmt
 
-(** Evaluate and render the outcome as the CLI/examples print it. *)
-let run_to_string t src =
-  match run t src with
+let run t src = fst (eval_src ~profile:false t src)
+
+let run_profiled t src =
+  match eval_src ~profile:true t src with
+  | o, Some r -> (o, r)
+  | _, None -> assert false
+
+(** Render an outcome as the CLI/examples print it. *)
+let render t = function
   | Defined mt ->
     Format.asprintf "defined %a" Mad.Molecule_type.pp_summary mt
   | Result (Translate.Molecules mt) ->
@@ -530,5 +661,9 @@ let run_to_string t src =
   | Dml msg -> msg
   | Explained report -> report
 
-(** EXPLAIN: the algebra plan a statement compiles to. *)
-let explain t src = explain_stmt t (parse t src)
+let run_to_string t src = render t (run t src)
+
+let explain ?(estimates = false) t src =
+  let stmt = parse t src in
+  if estimates then explain_stmt ~detail:(estimates_of t) t stmt
+  else explain_stmt t stmt

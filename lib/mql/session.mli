@@ -11,20 +11,21 @@ type outcome =
   | Dml of string  (** summary of a manipulation statement's effect *)
   | Explained of string  (** EXPLAIN / EXPLAIN ANALYZE report *)
 
-type ext = ..
-(** Extension slot for layers above this library: PRIMA stores its
-    per-session adaptive statistics catalog here (see
-    [Prima.Adaptive]) without creating a downward dependency. *)
-
 type commit_handle
 (** Identifies one registered commit hook (see {!add_on_commit}). *)
+
+type plan_memo = { refinements_at : int; types_at : int; hash : int }
+
+type drift_entry = {
+  de_stmt : string;  (** the statement kind the drift came from *)
+  de_drift : Profile.drift;
+}
 
 type t = {
   db : Database.t;
   env : (string, Mad.Molecule_type.t) Hashtbl.t;
   stats : Mad.Derive.stats;
   obs : Mad_obs.Obs.t;
-  mutable ext : ext option;
   mutable commit_hooks : (commit_handle * (unit -> unit)) list;
       (** Run, in registration order, after every successful
           manipulation statement — the statement-level durability
@@ -36,9 +37,6 @@ type t = {
   mutable digest : Mad_obs.Digest.t option;
       (** Workload digest; [None] (the default) records nothing.
           {!enable_digest} creates one against the session registry. *)
-  mutable slow_guard : bool;
-      (** True while a slow-log capture is re-running the statement
-          (EXPLAIN ANALYZE) — suppresses recursive slow-logging. *)
   fp_cache : (string, int * string) Hashtbl.t;
       (** source text -> (fingerprint, normalized text), so a repeated
           statement does not pay AST normalization twice *)
@@ -50,20 +48,19 @@ type t = {
   mutable last_commit_us : float;
       (** internal: commit-hook µs since the last
           {!take_last_commit_us} *)
+  mutable catalog : Prima.Stats.t option;
+      (** the adaptive statistics catalog: [None] until a plan needs
+          estimates (a residual with several conjuncts, EXPLAIN
+          ANALYZE); every EXPLAIN ANALYZE refines it *)
+  mutable refinements : int;  (** EXPLAIN ANALYZE runs fed back *)
+  mutable drifts : drift_entry list;  (** newest first *)
+  mutable last_plan : Translate.plan option;
+      (** internal: the plan the last statement ran *)
+  mutable last_error : float option;
+      (** internal: the last EXPLAIN ANALYZE's estimate error *)
+  plan_memo : (int, plan_memo) Hashtbl.t;
+      (** internal: the digest's plan-hash memo, per fingerprint *)
 }
-
-val analyze_hook : (t -> Ast.stmt -> string) option ref
-(** [EXPLAIN ANALYZE] needs the physical engine, which lives above
-    this library; a profiler (see [Prima.Adaptive.install]) registers
-    itself here.  Without one, ANALYZE executes the statement and
-    reports session-level actuals only. *)
-
-val plan_hash_hook : (t -> fp:int -> Ast.stmt -> int) option ref
-(** Hashes the physical plan the engine would choose for a statement
-    (see [Prima.Adaptive.install]); the digest aggregates per
-    (fingerprint, plan hash).  [fp] is the statement's fingerprint —
-    implementations key their memoization on it.  Without a hook,
-    digest rows fall back to a per-statement-kind pseudo plan. *)
 
 val create : ?obs:Mad_obs.Obs.t -> Database.t -> t
 (** [obs] defaults to the process-wide context of [MAD_OBS]
@@ -118,15 +115,38 @@ val enable_digest : t -> Mad_obs.Digest.t
     ({!Mad_obs.Digest.slow_threshold_ms}) append to the slow-query
     log. *)
 
+val catalog : t -> Prima.Stats.t
+(** The adaptive statistics catalog, collected from the database on
+    first use. *)
+
+val save_catalog : t -> string -> bool
+(** Persist the refined catalog as a [stats.mad] file
+    ({!Prima.Catalog_io}); [false] when it was never collected. *)
+
+val load_catalog : t -> string -> bool
+(** Start from a previously saved catalog (superseding the static
+    collection); [false] when the file does not exist.  Plans with
+    several residual conjuncts may change. *)
+
+val drift_report : t -> string
+(** Refinement count, drift threshold ([MAD_DRIFT_FACTOR], default 2)
+    and every drifted node estimate recorded so far. *)
+
 val stmt_kind : Ast.stmt -> string
-(** The statement's kind tag ("query", "insert", …) as used for span
-    attributes and the digest's fallback plan identity. *)
+(** The statement's kind tag ("query", "insert", …): the digest's plan
+    identity for statements without a plan. *)
+
+val plan : t -> Ast.qexpr -> Translate.plan
+(** The plan a query runs: {!Translate.compile}, then
+    {!Translate.optimize} against the adaptive catalog. *)
 
 val eval_stmt : ?fp_text:int * string -> t -> Ast.stmt -> outcome
-(** Evaluate one parsed statement.  With a digest enabled, the
-    execution is recorded under the statement's (fingerprint, plan
-    hash); [fp_text] supplies a pre-computed fingerprint ({!run}'s
-    source-text cache) so the AST is not re-normalized. *)
+(** Evaluate one parsed statement: run its plan.  With a digest
+    enabled, the execution is recorded under the statement's
+    (fingerprint, hash of the plan that ran); [fp_text] supplies a
+    pre-computed fingerprint ({!run}'s source-text cache) so the AST is
+    not re-normalized.  With the slow-query log on, every run is
+    profiled so a slow one logs its own actuals. *)
 
 val run : t -> string -> outcome
 (** Parse and evaluate one MOL statement.  The parse is timed as its
@@ -134,6 +154,9 @@ val run : t -> string -> outcome
     statement the global telemetry timeline gets an interval-gated
     tick ({!Mad_obs.Timeline.auto_tick}) against the session registry
     — near-free while [MAD_OBS_TICK] is unset. *)
+
+val run_profiled : t -> string -> outcome * Profile.t
+(** {!run}, profiling that one run (estimates from {!catalog}). *)
 
 val fault_spin_ms : float option ref
 (** Fault injection for health smoke tests: when set, every statement
@@ -143,12 +166,13 @@ val fault_spin_ms : float option ref
     probe — observe as a genuine regression.  [None] (the default)
     costs one ref read per statement. *)
 
+val render : t -> outcome -> string
+(** An outcome as the CLI prints it (molecule trees, explosion trees,
+    DML summaries, reports). *)
+
 val run_to_string : t -> string -> string
-(** Evaluate and render (molecule trees, explosion trees, DML
-    summaries). *)
+(** {!run}, then {!render}. *)
 
-val explain_stmt : t -> Ast.stmt -> string
-(** The algebra plan a parsed statement compiles to. *)
-
-val explain : t -> string -> string
-(** The algebra plan the statement compiles to. *)
+val explain : ?estimates:bool -> t -> string -> string
+(** EXPLAIN: the plan the statement runs; with [estimates], each α
+    carries the catalog's estimate of its work. *)

@@ -3,17 +3,17 @@
 
     A fingerprint identifies a statement's shape (literals stripped,
     structure kept; computed by [Mad_mql.Fingerprint]); a plan hash
-    identifies the physical plan Prima chose for it.  The store keeps
-    one row per (fingerprint, plan) pair, each row backed by real
-    registry instruments ([digest.calls] / [digest.errors] /
-    [digest.rows] counters and a [digest.latency_us] histogram with
-    flight-recorder exemplars), so the whole digest rides
-    {!Registry.expose} for free.
+    identifies the rewritten plan it ran ([Mad_mql.Translate.plan_hash]).
+    The store keeps one row per (fingerprint, plan) pair, each row
+    backed by real registry instruments ([digest.calls] /
+    [digest.errors] / [digest.rows] counters and a [digest.latency_us]
+    histogram with flight-recorder exemplars), so the whole digest
+    rides {!Registry.expose} for free.
 
     The store also watches for {b plan changes}: when a fingerprint
     that previously ran under one plan hash arrives under another —
-    typically because {!Prima.Adaptive} refinement moved the learned
-    catalog — it bumps the [plan.switch] counter and journals a
+    typically because EXPLAIN ANALYZE refinement moved the session's
+    learned catalog — it bumps the [plan.switch] counter and journals a
     {!Recorder.Plan_switch} event, so a regression introduced by
     learned statistics is visible in both the metrics and the trace.
 
@@ -136,7 +136,7 @@ let record t ~fp ~text ~plan ~latency_us ~rows ~error ?(exemplar = -1) () =
   Metric.observe ~exemplar r.pr_lat latency_us;
   switched
 
-(** Fold one EXPLAIN ANALYZE drift reading ([Prima.Profile.error]) into
+(** Fold one EXPLAIN ANALYZE drift reading ([Mad_mql.Profile.error]) into
     the row, creating it if the profiled plan was never executed
     through {!record}. *)
 let note_drift t ~fp ~text ~plan ~err =

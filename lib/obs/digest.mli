@@ -3,7 +3,7 @@
     slow-query log.
 
     Fingerprints come from [Mad_mql.Fingerprint] (literals stripped,
-    structure kept); plan hashes from [Prima.Planner.plan_hash].  Rows
+    structure kept); plan hashes from [Mad_mql.Translate.plan_hash].  Rows
     are backed by registry instruments ([digest.calls] /
     [digest.errors] / [digest.rows] / [digest.latency_us] labeled
     [fp]/[plan], and the global [plan.switch] counter), so the digest
@@ -40,7 +40,7 @@ val record :
 
 val note_drift : t -> fp:int -> text:string -> plan:int -> err:float -> unit
 (** Fold one EXPLAIN ANALYZE estimate-vs-actual reading
-    ([Prima.Profile.error]) into the (fingerprint, plan) row. *)
+    ([Mad_mql.Profile.error]) into the (fingerprint, plan) row. *)
 
 (** {1 Reporting} *)
 

@@ -236,14 +236,10 @@ let dump_on_error () =
 let wal_tid = 1 lsl 20
 let planner_tid = wal_tid + 1
 
-let is_planner_label l =
-  String.length l >= 6 && String.sub l 0 6 = "prima."
-
 let tid_of ev =
   match ev.e_kind with
   | Wal_append | Wal_fsync | Group_commit | Recovery_replay -> wal_tid
   | Plan_switch -> planner_tid
-  | (Span_begin | Span_end) when is_planner_label ev.e_label -> planner_tid
   | _ -> ev.e_thread
 
 let track_name tid =

@@ -18,12 +18,6 @@ type counters = {
 
 let counters () = { scans = 0; atoms_read = 0; fetches = 0; links_followed = 0 }
 
-let reset c =
-  c.scans <- 0;
-  c.atoms_read <- 0;
-  c.fetches <- 0;
-  c.links_followed <- 0
-
 let pp_counters ppf c =
   Fmt.pf ppf "scans=%d atoms_read=%d fetches=%d links_followed=%d" c.scans
     c.atoms_read c.fetches c.links_followed
@@ -42,12 +36,3 @@ let scan ?pred t atype =
       t.c.atoms_read <- t.c.atoms_read + 1;
       match pred with None -> true | Some p -> Mad.Qual.eval_atom at a p)
     (Database.atoms t.db atype)
-
-let fetch t ~atype id =
-  t.c.fetches <- t.c.fetches + 1;
-  Database.get_atom t.db ~atype id
-
-let neighbors t link ~dir id =
-  let s = Database.neighbors t.db link ~dir id in
-  t.c.links_followed <- t.c.links_followed + Aid.Set.cardinal s;
-  s

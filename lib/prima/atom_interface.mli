@@ -1,6 +1,6 @@
 (** PRIMA's lower layer: the atom-oriented interface [HMMS87] with
-    access counters — the logical cost model of the benchmark
-    experiments. *)
+    access counters.  The query pipeline's root scans run through it;
+    EXPLAIN ANALYZE reports its counters. *)
 
 open Mad_store
 
@@ -12,7 +12,6 @@ type counters = {
 }
 
 val counters : unit -> counters
-val reset : counters -> unit
 val pp_counters : Format.formatter -> counters -> unit
 
 type t = { db : Database.t; c : counters }
@@ -21,6 +20,3 @@ val v : ?c:counters -> Database.t -> t
 
 val scan : ?pred:Mad.Qual.t -> t -> string -> Atom.t list
 (** Atom-type scan with an optional pushed-down qualification. *)
-
-val fetch : t -> atype:string -> Aid.t -> Atom.t
-val neighbors : t -> string -> dir:[ `Fwd | `Bwd | `Both ] -> Aid.t -> Aid.Set.t

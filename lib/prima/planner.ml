@@ -1,17 +1,15 @@
-(** The molecule-processing component's planner.
+(** The molecule-processing component's rewrite rules.
 
     The naive evaluation of [Σ[q](α[n,G](C))] derives *every* molecule
-    and then filters — the letter of Def. 10.  The planner applies two
-    algebraic rewrites whose correctness the molecule algebra
-    guarantees (ch. 5: "we can conveniently exploit the algebra to
-    considerably simplify and enhance query transformation and query
-    optimization"):
+    and then filters — the letter of Def. 10.  Two algebraic rewrites
+    are sound by the molecule algebra (ch. 5: "we can conveniently
+    exploit the algebra to considerably simplify and enhance query
+    transformation and query optimization"):
 
-    - {b root-restriction pushdown}: conjuncts of the qualification that
-      reference only the root node are evaluated during the root scan,
-      so non-qualifying molecules are never derived.  Sound because a
-      molecule contains exactly one root atom and derivation is
-      per-root.
+    - {b root-restriction pushdown}: conjuncts that reference only the
+      root node are evaluated during the root scan, so non-qualifying
+      molecules are never derived.  Sound because a molecule contains
+      exactly one root atom and derivation is per-root.
     - {b structure pruning}: nodes needed neither by the residual
       qualification nor by the projection are removed from the
       derivation structure, together with their (now useless) subtrees
@@ -19,22 +17,7 @@
       Sound because a node's component depends only on its ancestors'
       components. *)
 
-module Sset = Set.Make (String)
-
-type query = {
-  name : string;
-  desc : Mad.Mdesc.t;
-  where : Mad.Qual.t option;
-  select : (string * string list option) list option;
-}
-
-type plan = {
-  query : query;
-  root_pred : Mad.Qual.t option;  (** pushed into the root scan *)
-  residual : Mad.Qual.t option;  (** evaluated per derived molecule *)
-  derive_desc : Mad.Mdesc.t;  (** possibly pruned structure *)
-  notes : string list;
-}
+module Sset = Mad.Qual.Sset
 
 let rec conjuncts = function
   | Mad.Qual.And (a, b) -> conjuncts a @ conjuncts b
@@ -44,20 +27,31 @@ let conjoin = function
   | [] -> None
   | p :: rest -> Some (List.fold_left (fun a b -> Mad.Qual.And (a, b)) p rest)
 
-(* Quantifier-free conjuncts that reference only the root node can be
-   pushed: the root is always bound to the single root atom, so their
-   molecule semantics coincides with atom semantics on the root. *)
-let pushable root p =
-  Sset.subset (Mad.Qual.nodes p) (Sset.singleton root)
-  &&
-  let rec quantifier_free = function
-    | Mad.Qual.True | Mad.Qual.False | Mad.Qual.Cmp _ -> true
-    | Mad.Qual.And (a, b) | Mad.Qual.Or (a, b) ->
-      quantifier_free a && quantifier_free b
-    | Mad.Qual.Not a -> quantifier_free a
+(* A conjunct may run in the root scan only when its molecule semantics
+   coincides with atom semantics on the root atom.  Qualification
+   binds the root node to the root atom, so a quantifier-free formula
+   over the root node alone qualifies — for α, whose root component is
+   exactly the root atom.  A recursive or cycle type's root component
+   is all of its members: COUNT and the aggregates read that whole
+   component, and the DEPTH pseudo-attribute is no atom attribute, so
+   there only plain attribute comparisons move. *)
+let pushable ~members root p =
+  let rec expr_ok = function
+    | Mad.Qual.Const _ -> true
+    | Mad.Qual.Attr { attr; _ } -> not (members && String.equal attr "DEPTH")
+    | Mad.Qual.Count _ | Mad.Qual.Agg _ -> not members
+    | Mad.Qual.Add (a, b) | Mad.Qual.Sub (a, b) | Mad.Qual.Mul (a, b)
+    | Mad.Qual.Div (a, b) ->
+      expr_ok a && expr_ok b
+  in
+  let rec ok = function
+    | Mad.Qual.True | Mad.Qual.False -> true
+    | Mad.Qual.Cmp (_, a, b) -> expr_ok a && expr_ok b
+    | Mad.Qual.And (a, b) | Mad.Qual.Or (a, b) -> ok a && ok b
+    | Mad.Qual.Not a -> ok a
     | Mad.Qual.Exists _ | Mad.Qual.Forall _ -> false
   in
-  quantifier_free p
+  Sset.subset (Mad.Qual.nodes p) (Sset.singleton root) && ok p
 
 (* ancestor closure of [needed] in the structure DAG *)
 let ancestor_closure desc needed =
@@ -72,65 +66,15 @@ let ancestor_closure desc needed =
   in
   grow needed
 
-let plan ?(optimize = true) (q : query) =
-  let root = Mad.Mdesc.root q.desc in
-  if not optimize then
-    {
-      query = q;
-      root_pred = None;
-      residual = q.where;
-      derive_desc = q.desc;
-      notes = [ "naive: derive all molecules, then filter" ];
-    }
-  else begin
-    let pushed, residual =
-      match q.where with
-      | None -> ([], [])
-      | Some w -> List.partition (pushable root) (conjuncts w)
-    in
-    let notes = ref [] in
-    if pushed <> [] then
-      notes :=
-        Printf.sprintf "pushdown: %d root conjunct(s) into the %s scan"
-          (List.length pushed) root
-        :: !notes;
-    (* nodes needed by residual predicate and projection *)
-    let needed =
-      let from_residual =
-        List.fold_left
-          (fun acc p -> Sset.union acc (Mad.Qual.nodes p))
-          Sset.empty residual
-      in
-      let from_select =
-        match q.select with
-        | None -> Sset.of_list (Mad.Mdesc.nodes q.desc)
-        | Some items -> Sset.of_list (List.map fst items)
-      in
-      Sset.add root (Sset.union from_residual from_select)
-    in
-    let keep = ancestor_closure q.desc needed in
-    let derive_desc =
-      if Sset.cardinal keep = List.length (Mad.Mdesc.nodes q.desc) then q.desc
-      else begin
-        notes :=
-          Printf.sprintf "pruning: derive over %d of %d nodes"
-            (Sset.cardinal keep)
-            (List.length (Mad.Mdesc.nodes q.desc))
-          :: !notes;
-        Mad.Mdesc.induced q.desc (Sset.elements keep)
-      end
-    in
-    {
-      query = q;
-      root_pred = conjoin pushed;
-      residual = conjoin residual;
-      derive_desc;
-      notes = List.rev !notes;
-    }
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Plan identity                                                        *)
+let prune desc ~needed =
+  let nodes = Mad.Mdesc.nodes desc in
+  let needed = Sset.of_list (Mad.Mdesc.root desc :: needed) in
+  (* an unknown node is the operators' error to report, unpruned *)
+  if not (Sset.subset needed (Sset.of_list nodes)) then None
+  else
+    let keep = ancestor_closure desc needed in
+    if Sset.cardinal keep = List.length nodes then None
+    else Some (Mad.Mdesc.induced desc (Sset.elements keep))
 
 (* FNV-1a (same scheme as Mad_mql.Fingerprint); wraps modulo 2^63,
    masked non-negative *)
@@ -141,52 +85,3 @@ let hash_string s =
   let h = ref fnv_basis in
   String.iter (fun c -> h := (!h lxor Char.code c) * fnv_prime) s;
   !h land max_int
-
-(** The plan's {e shape}: scan target, pushed and residual predicate
-    skeletons (literals stripped, conjunct {e order} kept — the
-    stats-driven reorder must change the hash), derivation structure
-    and projection.  Notes are advisory and excluded. *)
-let plan_hash p =
-  let pred_skeleton = function
-    | None -> "-"
-    | Some q -> Mad.Qual.to_string (Mad.Qual.strip_consts q)
-  in
-  let select =
-    match p.query.select with
-    | None -> "ALL"
-    | Some items ->
-      String.concat ","
-        (List.map
-           (fun (n, attrs) ->
-             match attrs with
-             | None -> n
-             | Some attrs -> n ^ "(" ^ String.concat "," attrs ^ ")")
-           items)
-  in
-  hash_string
-    (String.concat "\x00"
-       [
-         "scan " ^ Mad.Mdesc.root p.derive_desc;
-         "push " ^ pred_skeleton p.root_pred;
-         "filter " ^ pred_skeleton p.residual;
-         "derive " ^ Format.asprintf "%a" Mad.Mdesc.pp p.derive_desc;
-         "project " ^ select;
-       ])
-
-let pp ppf p =
-  Fmt.pf ppf "@[<v>plan for %s:@," p.query.name;
-  Fmt.pf ppf "  scan %s%a@," (Mad.Mdesc.root p.derive_desc)
-    Fmt.(option (fun ppf q -> Fmt.pf ppf " where %a" Mad.Qual.pp q))
-    p.root_pred;
-  Fmt.pf ppf "  derive %a@," Mad.Mdesc.pp p.derive_desc;
-  (match p.residual with
-   | None -> ()
-   | Some q -> Fmt.pf ppf "  filter %a@," Mad.Qual.pp q);
-  (match p.query.select with
-   | None -> ()
-   | Some items ->
-     Fmt.pf ppf "  project %a@,"
-       Fmt.(list ~sep:(any ", ") (fun ppf (n, _) -> Fmt.string ppf n))
-       items);
-  List.iter (fun n -> Fmt.pf ppf "  -- %s@," n) p.notes;
-  Fmt.pf ppf "@]"

@@ -1,36 +1,23 @@
-(** PRIMA's molecule-processing planner: algebraic rewrites whose
-    soundness the molecule algebra guarantees — root-restriction
-    pushdown into the root scan, and structure pruning to the
-    ancestor-closure of the nodes the residual qualification and the
-    projection need. *)
-
-type query = {
-  name : string;
-  desc : Mad.Mdesc.t;
-  where : Mad.Qual.t option;
-  select : (string * string list option) list option;
-}
-
-type plan = {
-  query : query;
-  root_pred : Mad.Qual.t option;  (** pushed into the root scan *)
-  residual : Mad.Qual.t option;  (** evaluated per derived molecule *)
-  derive_desc : Mad.Mdesc.t;  (** possibly pruned *)
-  notes : string list;
-}
+(** PRIMA's molecule-processing rewrite rules: the algebraic facts the
+    query pipeline ([Mad_mql.Translate.optimize]) applies to its one
+    plan — which conjuncts may move into the root scan, and which
+    structure nodes a derivation may drop. *)
 
 val conjuncts : Mad.Qual.t -> Mad.Qual.t list
 
 val conjoin : Mad.Qual.t list -> Mad.Qual.t option
 (** Right inverse of {!conjuncts}: [None] on the empty list. *)
 
-val plan : ?optimize:bool -> query -> plan
+val pushable : members:bool -> string -> Mad.Qual.t -> bool
+(** [pushable ~members root p]: may conjunct [p] be evaluated on the
+    root atom alone, during the root scan?  [members] says that the
+    root node's component holds more than the root atom (recursive and
+    cycle types); then only plain attribute comparisons qualify. *)
 
-val plan_hash : plan -> int
-(** A stable non-negative hash of the plan's {e shape}: scan target,
-    predicate skeletons (literals stripped, conjunct order kept),
-    derivation structure, projection.  Two parameterizations of the
-    same plan hash identically; a stats-driven conjunct reorder does
-    not.  [Mad_obs.Digest] keys its rows on this. *)
+val prune : Mad.Mdesc.t -> needed:string list -> Mad.Mdesc.t option
+(** The structure induced by the ancestor closure of [needed] (plus
+    the root), or [None] when that is the whole structure or [needed]
+    names a node outside it. *)
 
-val pp : Format.formatter -> plan -> unit
+val hash_string : string -> int
+(** FNV-1a, masked non-negative — plan identity. *)

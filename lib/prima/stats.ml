@@ -24,8 +24,8 @@ type learned_link = {
   lr_fwd : float option;  (** distinct atoms reached per parent atom *)
   lr_bwd : float option;
 }
-(** Adaptive per-link-type factors, learned by {!refine} from recorded
-    actuals.  Traversal fanout (lf) and distinct reach (lr) are kept
+(** Adaptive per-link-type factors, learned by {!refine_actuals} from
+    recorded actuals.  Traversal fanout (lf) and distinct reach (lr) are kept
     separately: the catalog fanout conflates them, but under subobject
     sharing many traversals reach few distinct atoms (Fig. 1's edges
     sharing corner points), so links and component sizes need
@@ -148,7 +148,7 @@ let sel_key root pred = root ^ "|" ^ Mad.Qual.to_string pred
 (* the per-edge factors the estimator multiplies with: traversal
    fanout (how many link traversals a parent atom causes) and distinct
    reach (how many distinct atoms they arrive at).  The static catalog
-   knows only the former; [refine] learns both from actuals. *)
+   knows only the former; [refine_actuals] learns both from actuals. *)
 let edge_factors t (e : Mad.Mdesc.edge) =
   let static =
     match (Smap.find_opt e.link t.link_stats, e.dir) with
@@ -167,14 +167,13 @@ let edge_factors t (e : Mad.Mdesc.edge) =
     let trav = Option.value ~default:static lf in
     (trav, Option.value ~default:trav lr)
 
-let estimate_detail t (p : Planner.plan) =
-  let desc = p.Planner.derive_desc in
+let estimate_detail t ~root_pred desc =
   let root = Mad.Mdesc.root desc in
   let root_count =
     float_of_int (Option.value ~default:0 (Smap.find_opt root t.atom_counts))
   in
   let roots =
-    match p.Planner.root_pred with
+    match root_pred with
     | None -> root_count
     | Some q ->
       let sel =
@@ -231,7 +230,7 @@ let estimate_detail t (p : Planner.plan) =
     d_nodes = List.rev !nodes;
   }
 
-let estimate t p = (estimate_detail t p).d_est
+let estimate t ~root_pred desc = (estimate_detail t ~root_pred desc).d_est
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive statistics: feeding recorded actuals back into the catalog *)
@@ -266,14 +265,13 @@ let actuals_of_registry reg desc =
     predicate: observed selectivity.  Only nodes with a single
     incoming edge teach fanouts — a diamond's aggregate counters
     cannot be attributed to one edge. *)
-let refine_actuals ?(alpha = 0.5) t (p : Planner.plan) actuals =
+let refine_actuals ?(alpha = 0.5) t ~root_pred desc actuals =
   let find node = List.find_opt (fun a -> String.equal a.na_node node) actuals in
-  let desc = p.Planner.derive_desc in
   let root = Mad.Mdesc.root desc in
   let blend prev obs = ((1.0 -. alpha) *. prev) +. (alpha *. obs) in
   (* root selectivity: qualifying roots over the type's cardinality *)
   let learned_sel =
-    match (p.Planner.root_pred, find root) with
+    match (root_pred, find root) with
     | Some q, Some na ->
       let root_count =
         float_of_int
@@ -333,63 +331,32 @@ let refine_actuals ?(alpha = 0.5) t (p : Planner.plan) actuals =
   in
   { t with learned; learned_sel }
 
-(** {!refine_actuals} over the per-node counters a registry recorded. *)
-let refine ?alpha t (p : Planner.plan) reg =
-  refine_actuals ?alpha t p (actuals_of_registry reg p.Planner.derive_desc)
-
 (* ------------------------------------------------------------------ *)
-(* Stats-driven replanning                                              *)
+(* Stats-driven conjunct order                                          *)
 
-(** Reorder the residual qualification's conjuncts by estimated
-    evaluation cost: a conjunct touching small expected components
-    runs (and usually rejects) first, so the expensive quantified
-    checks over large components only see survivors.  The component
-    sizes flow from {!edge_factors}, so learned factors ({!refine})
-    genuinely move the order — this is the stats-driven plan decision
-    whose flips the workload digest surfaces as [plan.switch]. *)
-let replan t (p : Planner.plan) =
-  match p.Planner.residual with
-  | None -> p
-  | Some q -> begin
-    match Planner.conjuncts q with
-    | [] | [ _ ] -> p
-    | cs ->
-      let detail = estimate_detail t p in
-      let size n =
-        match
-          List.find_opt (fun ne -> String.equal ne.ne_node n) detail.d_nodes
-        with
-        | Some ne -> ne.ne_atoms
-        | None -> 0.0
-      in
-      let cost c =
-        Mad.Qual.Sset.fold
-          (fun n acc -> acc +. size n)
-          (Mad.Qual.nodes c) 0.0
-      in
-      (* cheap first; equally cheap conjuncts run the more selective
-         one first; the sort is stable so ties keep statement order *)
-      let keyed = List.map (fun c -> ((cost c, selectivity t c), c)) cs in
-      let sorted =
-        List.stable_sort (fun (k1, _) (k2, _) -> compare k1 k2) keyed
-      in
-      let cs' = List.map snd sorted in
-      if List.for_all2 ( == ) cs cs' then p
-      else
-        {
-          p with
-          Planner.residual = Planner.conjoin cs';
-          notes =
-            p.Planner.notes
-            @ [ "reorder: residual conjuncts by estimated cost" ];
-        }
-  end
-
-(** EXPLAIN with cost estimates: the naive and optimized plans side by
-    side. *)
-let explain_with_estimates db (q : Planner.query) =
-  let t = collect db in
-  let naive = Planner.plan ~optimize:false q in
-  let optimized = Planner.plan ~optimize:true q in
-  Format.asprintf "%a  naive     %a@.  optimized %a@." Planner.pp optimized
-    pp_estimate (estimate t naive) pp_estimate (estimate t optimized)
+(** Order residual conjuncts by estimated evaluation cost: a conjunct
+    touching small expected components runs (and usually rejects)
+    first, so the expensive quantified checks over large components
+    only see survivors.  The component sizes flow from
+    {!edge_factors}, so learned factors ({!refine_actuals}) genuinely
+    move the order — this is the stats-driven plan decision whose flips the
+    workload digest surfaces as [plan.switch]. *)
+let order t ~root_pred desc = function
+  | ([] | [ _ ]) as cs -> cs
+  | cs ->
+    let detail = estimate_detail t ~root_pred desc in
+    let size n =
+      match
+        List.find_opt (fun ne -> String.equal ne.ne_node n) detail.d_nodes
+      with
+      | Some ne -> ne.ne_atoms
+      | None -> 0.0
+    in
+    let cost c =
+      Mad.Qual.Sset.fold (fun n acc -> acc +. size n) (Mad.Qual.nodes c) 0.0
+    in
+    (* cheap first; equally cheap conjuncts run the more selective one
+       first; the sort is stable so ties keep statement order *)
+    List.map (fun c -> ((cost c, selectivity t c), c)) cs
+    |> List.stable_sort (fun (k1, _) (k2, _) -> compare k1 k2)
+    |> List.map snd

@@ -14,7 +14,7 @@ type learned_link = {
   lr_fwd : float option;  (** distinct atoms reached per parent atom *)
   lr_bwd : float option;
 }
-(** Adaptive per-link-type factors learned by {!refine}: traversal
+(** Adaptive per-link-type factors learned by {!refine_actuals}: traversal
     fanout and distinct reach, kept separately because subobject
     sharing makes many traversals arrive at few distinct atoms. *)
 
@@ -34,7 +34,9 @@ val selectivity : t -> Mad.Qual.t -> float
 type estimate = { est_roots : float; est_atoms : float; est_links : float }
 
 val pp_estimate : Format.formatter -> estimate -> unit
-val estimate : t -> Planner.plan -> estimate
+val estimate : t -> root_pred:Mad.Qual.t option -> Mad.Mdesc.t -> estimate
+(** The work of deriving the molecules over a structure whose root scan
+    applies [root_pred]. *)
 
 type node_estimate = {
   ne_node : string;
@@ -44,10 +46,10 @@ type node_estimate = {
 
 type detail = { d_est : estimate; d_nodes : node_estimate list }
 
-val estimate_detail : t -> Planner.plan -> detail
+val estimate_detail : t -> root_pred:Mad.Qual.t option -> Mad.Mdesc.t -> detail
 (** Like {!estimate} but keeping the per-node totals — the "estimated"
     column of [EXPLAIN ANALYZE].  Learned factors and selectivities
-    (from {!refine}) take precedence over the static catalog. *)
+    (from {!refine_actuals}) take precedence over the static catalog. *)
 
 type node_actual = {
   na_node : string;
@@ -59,24 +61,25 @@ val actuals_of_registry : Mad_obs.Registry.t -> Mad.Mdesc.t -> node_actual list
 (** The per-node ["derive.atoms"]/["derive.links"] counters a
     registry-backed derivation recorded. *)
 
-val refine_actuals : ?alpha:float -> t -> Planner.plan -> node_actual list -> t
+val refine_actuals :
+  ?alpha:float ->
+  t ->
+  root_pred:Mad.Qual.t option ->
+  Mad.Mdesc.t ->
+  node_actual list ->
+  t
 (** Feed one plan's recorded actuals back into the catalog:
     exponentially-weighted ([alpha], default 0.5) updates of
     per-link-type traversal fanouts, distinct-reach factors, and the
     root predicate's observed selectivity.  Repeated refinement on the
     same workload converges the estimates onto the actuals. *)
 
-val refine : ?alpha:float -> t -> Planner.plan -> Mad_obs.Registry.t -> t
-(** {!refine_actuals} over {!actuals_of_registry} — the direct
-    feedback edge from an [EXPLAIN ANALYZE] run's registry. *)
-
-val replan : t -> Planner.plan -> Planner.plan
-(** The catalog-driven planning pass: reorder the residual
-    qualification's conjuncts by estimated evaluation cost (expected
-    component sizes of the referenced nodes, then selectivity; stable
-    on ties).  Because the sizes flow from learned link factors,
-    {!refine} can flip the order — a flip changes
-    {!Planner.plan_hash} and surfaces as a [plan.switch] in the
-    workload digest. *)
-
-val explain_with_estimates : Database.t -> Planner.query -> string
+val order :
+  t -> root_pred:Mad.Qual.t option -> Mad.Mdesc.t -> Mad.Qual.t list ->
+  Mad.Qual.t list
+(** The catalog-driven planning pass: order residual conjuncts by
+    estimated evaluation cost (expected component sizes of the
+    referenced nodes, then selectivity; stable on ties).  Because the
+    sizes flow from learned link factors, {!refine_actuals} can flip the order
+    — a flip changes the plan's hash and surfaces as a [plan.switch]
+    in the workload digest. *)

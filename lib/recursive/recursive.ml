@@ -445,16 +445,18 @@ let derive_one ?(stats = Mad.Derive.stats ()) ?kernel db (d : desc) root =
     scratch buffers ({!Mad_kernel.Kernel.closure_roots}); unbounded
     closures over acyclic link graphs additionally share the member
     and link sets bottom-up ({!memo_closures}). *)
-let m_dom ?(stats = Mad.Derive.stats ()) ?(kernel = true) db (d : desc) =
-  let atoms = Database.atoms db d.root_type in
-  if not kernel then
-    List.map
-      (fun (a : Atom.t) -> derive_one ~stats ~kernel:false db d a.id)
-      atoms
+let m_dom ?(stats = Mad.Derive.stats ()) ?(kernel = true) ?roots db (d : desc) =
+  let roots =
+    match roots with
+    | Some roots -> roots
+    | None ->
+      List.map (fun (a : Atom.t) -> a.Atom.id) (Database.atoms db d.root_type)
+  in
+  if not kernel then List.map (derive_one ~stats ~kernel:false db d) roots
   else
     let snap = Mad_kernel.Snapshot.of_db db in
     let fwd = match d.view with Sub -> true | Super -> false in
-    let roots = Array.of_list (List.map (fun (a : Atom.t) -> a.Atom.id) atoms) in
+    let roots = Array.of_list roots in
     let memo =
       match d.max_depth with
       | None -> memo_closures_cached snap db d
@@ -481,8 +483,8 @@ let m_dom ?(stats = Mad.Derive.stats ()) ?(kernel = true) db (d : desc) =
       List.init (Array.length roots) (fun i ->
           finish ~stats db d roots.(i) (convert_closure ~stats d cls.(i)))
 
-let define ?stats ?kernel db ~name (d : desc) =
-  { name; desc = d; occ = m_dom ?stats ?kernel db d }
+let define ?stats ?kernel ?roots db ~name (d : desc) =
+  { name; desc = d; occ = m_dom ?stats ?kernel ?roots db d }
 
 (* ------------------------------------------------------------------ *)
 (* Restriction over recursive molecules                                 *)
@@ -689,9 +691,14 @@ let derive_cycle db (d : cycle_desc) root =
     c_depth_of = depth_of;
   }
 
-let cycle_m_dom db (d : cycle_desc) =
-  Database.atoms db d.c_root
-  |> List.map (fun (a : Atom.t) -> derive_cycle db d a.id)
+let cycle_m_dom ?roots db (d : cycle_desc) =
+  let roots =
+    match roots with
+    | Some roots -> roots
+    | None ->
+      List.map (fun (a : Atom.t) -> a.Atom.id) (Database.atoms db d.c_root)
+  in
+  List.map (derive_cycle db d) roots
 
 type cycle_t = {
   cname : string;
@@ -699,8 +706,8 @@ type cycle_t = {
   cocc : cycle_molecule list;
 }
 
-let cycle_define db ~name (d : cycle_desc) =
-  { cname = name; cdesc = d; cocc = cycle_m_dom db d }
+let cycle_define ?roots db ~name (d : cycle_desc) =
+  { cname = name; cdesc = d; cocc = cycle_m_dom ?roots db d }
 
 let pp_cycle_desc ppf (d : cycle_desc) =
   Fmt.pf ppf "%s RECURSIVE BY (%a)%a" d.c_root

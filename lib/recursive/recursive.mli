@@ -50,13 +50,24 @@ val derive_one :
     the kernel's BFS closure runs only on a warm snapshot. *)
 
 val m_dom :
-  ?stats:Mad.Derive.stats -> ?kernel:bool -> Database.t -> desc -> molecule list
-(** One molecule per root-type atom; builds the CSR snapshot once and
-    runs every closure on it ([~kernel:false] runs the scalar
-    fixpoint per root instead). *)
+  ?stats:Mad.Derive.stats ->
+  ?kernel:bool ->
+  ?roots:Aid.t list ->
+  Database.t ->
+  desc ->
+  molecule list
+(** One molecule per root-type atom (or per atom of [roots], in that
+    order); builds the CSR snapshot once and runs every closure on it
+    ([~kernel:false] runs the scalar fixpoint per root instead). *)
 
 val define :
-  ?stats:Mad.Derive.stats -> ?kernel:bool -> Database.t -> name:string -> desc -> t
+  ?stats:Mad.Derive.stats ->
+  ?kernel:bool ->
+  ?roots:Aid.t list ->
+  Database.t ->
+  name:string ->
+  desc ->
+  t
 
 val molecule_satisfies : Database.t -> t -> molecule -> Mad.Qual.t -> bool
 (** Qualification over a recursive molecule; the pseudo-attribute
@@ -113,7 +124,9 @@ val cycle :
 (** Validates that the steps compose from [root_type] back to it. *)
 
 val derive_cycle : Database.t -> cycle_desc -> Aid.t -> cycle_molecule
-val cycle_m_dom : Database.t -> cycle_desc -> cycle_molecule list
+val cycle_m_dom :
+  ?roots:Aid.t list -> Database.t -> cycle_desc -> cycle_molecule list
+(** One cycle molecule per root-type atom, or per atom of [roots]. *)
 
 type cycle_t = {
   cname : string;
@@ -121,7 +134,8 @@ type cycle_t = {
   cocc : cycle_molecule list;
 }
 
-val cycle_define : Database.t -> name:string -> cycle_desc -> cycle_t
+val cycle_define :
+  ?roots:Aid.t list -> Database.t -> name:string -> cycle_desc -> cycle_t
 val pp_cycle_desc : Format.formatter -> cycle_desc -> unit
 
 val cycle_satisfies : Database.t -> cycle_t -> cycle_molecule -> Mad.Qual.t -> bool

@@ -26,17 +26,6 @@ let brazil () = Geo_brazil.db (Geo_brazil.build ())
 let session () =
   Session.create ~obs:(Obs.create ()) (brazil ())
 
-(* run with both digest hooks saved and restored, so a test can install
-   its own (or Prima.Adaptive's) without leaking into other suites *)
-let with_hooks f =
-  let old_plan = !Session.plan_hash_hook
-  and old_analyze = !Session.analyze_hook in
-  Fun.protect
-    ~finally:(fun () ->
-      Session.plan_hash_hook := old_plan;
-      Session.analyze_hook := old_analyze)
-    f
-
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                         *)
 
@@ -85,7 +74,6 @@ let test_fingerprint_dml () =
 (* Session aggregation                                                  *)
 
 let test_session_aggregation () =
-  with_hooks @@ fun () ->
   let s = session () in
   let dg = Session.enable_digest s in
   ignore
@@ -119,7 +107,6 @@ let test_session_aggregation () =
     (contains text "op_latency_us_count{op=\"mql.parse\"}")
 
 let test_repeated_source_uses_cache () =
-  with_hooks @@ fun () ->
   let s = session () in
   let dg = Session.enable_digest s in
   let src = "SELECT ALL FROM state WHERE state.hectare > 100;" in
@@ -135,19 +122,35 @@ let test_repeated_source_uses_cache () =
 (* ------------------------------------------------------------------ *)
 (* Plan-change detection                                                *)
 
+(* a catalog that learned a different link reach reorders a residual's
+   conjuncts: the same fingerprint now runs a different plan *)
 let test_plan_switch_detection () =
-  with_hooks @@ fun () ->
   let s = session () in
   let dg = Session.enable_digest s in
-  let forced = ref 111 in
-  Session.plan_hash_hook := Some (fun _ ~fp:_ _ -> !forced);
   Recorder.set_enabled true;
   let g = Recorder.global () in
   let seq0 = Recorder.recorded g in
-  let src = "SELECT ALL FROM state;" in
+  let src =
+    "SELECT ALL FROM state-area-edge-point WHERE area.name = 'a1' AND \
+     edge.name = 'e1';"
+  in
   ignore (Session.run s src);
   check_int "no switch on first plan" 0 (Digest.switch_count dg);
-  forced := 222;
+  (* area-edge learned to reach almost no edges: the edge conjunct
+     becomes the cheaper one and runs first *)
+  let c = Session.catalog s in
+  let f = Some 0.01 in
+  let learned =
+    Prima.Stats.Smap.add "area-edge"
+      { Prima.Stats.lf_fwd = f; lf_bwd = f; lr_fwd = f; lr_bwd = f }
+      c.Prima.Stats.learned
+  in
+  let path = Filename.temp_file "t_digest_stats" ".mad" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Prima.Catalog_io.save { c with Prima.Stats.learned } path;
+      check "catalog loaded" true (Session.load_catalog s path));
   ignore (Session.run s src);
   check_int "switch counted" 1 (Digest.switch_count dg);
   ignore (Session.run s src);
@@ -155,10 +158,13 @@ let test_plan_switch_detection () =
   (* one row per (fingerprint, plan) *)
   let rows = Digest.report dg in
   check_int "two plan rows under one fingerprint" 2 (List.length rows);
+  let a, b =
+    match rows with
+    | [ a; b ] -> (a, b)
+    | _ -> Alcotest.fail "expected two rows"
+  in
   check "same fingerprint" true
-    (match rows with
-     | [ a; b ] -> a.Digest.r_fp = b.Digest.r_fp && a.Digest.r_plan <> b.Digest.r_plan
-     | _ -> false);
+    (a.Digest.r_fp = b.Digest.r_fp && a.Digest.r_plan <> b.Digest.r_plan);
   List.iter
     (fun r -> check_int "entry-level switch count" 1 r.Digest.r_switches)
     rows;
@@ -171,72 +177,123 @@ let test_plan_switch_detection () =
   in
   match evs with
   | [ e ] ->
-    check_int "old plan journaled" 111 e.Recorder.e_a;
-    check_int "new plan journaled" 222 e.Recorder.e_b;
+    let calls r = r.Digest.r_calls in
+    let first, second = if calls a = 1 then (a, b) else (b, a) in
+    check_int "old plan journaled" first.Digest.r_plan e.Recorder.e_a;
+    check_int "new plan journaled" second.Digest.r_plan e.Recorder.e_b;
     check_str "event labeled with the fingerprint" e.Recorder.e_label
-      (Digest.hex (List.hd rows).Digest.r_fp)
+      (Digest.hex a.Digest.r_fp)
   | evs -> Alcotest.failf "expected one Plan_switch event, got %d" (List.length evs)
 
-(* the physical plan hash itself: literals must not change it, residual
-   conjunct order must *)
+(* the plan hash itself: literals must not change it, residual conjunct
+   order must *)
 let test_plan_hash_identity () =
-  let db = brazil () in
-  let s = Session.create ~obs:(Obs.create ()) db in
+  let s = session () in
   let plan_of src =
-    match Prima.Profile.query_of_stmt db (Session.parse s src) with
-    | Some q -> Prima.Planner.plan ~optimize:true q
-    | None -> Alcotest.fail "expected a physical query"
+    match Session.parse s src with
+    | Mad_mql.Ast.Query q -> Session.plan s q
+    | _ -> Alcotest.fail "expected a query"
   in
   let p1 =
     plan_of
-      "SELECT ALL FROM mt_state(state-area-edge-point) WHERE area.name = 'a1' \
-       AND edge.name = 'e1';"
+      "SELECT ALL FROM state-area-edge-point WHERE area.name = 'a1' AND \
+       edge.name = 'e1';"
   in
   let p2 =
     plan_of
-      "SELECT ALL FROM mt_state(state-area-edge-point) WHERE area.name = 'zz' \
-       AND edge.name = 'qq';"
+      "SELECT ALL FROM state-area-edge-point WHERE area.name = 'zz' AND \
+       edge.name = 'qq';"
   in
-  check "literals do not change the plan hash" true
-    (Prima.Planner.plan_hash p1 = Prima.Planner.plan_hash p2);
-  (match p1.Prima.Planner.residual with
-   | Some q -> begin
-     match Prima.Planner.conjuncts q with
-     | [ a; b ] ->
-       let swapped =
-         { p1 with Prima.Planner.residual = Prima.Planner.conjoin [ b; a ] }
-       in
-       check "conjunct order changes the plan hash" true
-         (Prima.Planner.plan_hash p1 <> Prima.Planner.plan_hash swapped)
-     | cs -> Alcotest.failf "expected 2 residual conjuncts, got %d" (List.length cs)
-   end
-   | None -> Alcotest.fail "expected a residual predicate")
+  let hash = Mad_mql.Translate.plan_hash in
+  check "literals do not change the plan hash" true (hash p1 = hash p2);
+  match p1 with
+  | Mad_mql.Translate.P_restrict (q, scan) -> begin
+    match Prima.Planner.conjuncts q with
+    | [ a; b ] ->
+      let swapped =
+        Mad_mql.Translate.P_restrict
+          (Option.get (Prima.Planner.conjoin [ b; a ]), scan)
+      in
+      check "conjunct order changes the plan hash" true
+        (hash p1 <> hash swapped)
+    | cs -> Alcotest.failf "expected 2 residual conjuncts, got %d" (List.length cs)
+  end
+  | _ -> Alcotest.fail "expected a residual predicate"
 
-(* EXPLAIN ANALYZE under the adaptive hooks feeds estimate drift into
-   the profiled statement's digest row *)
+(* the plan that ran is the plan that is reported: on Q1 over the geo
+   grid the digest row hashes the plan EXPLAIN prints, and EXPLAIN
+   ANALYZE's actuals are a plain run's counters — the pushed scan
+   derives one molecule, not the whole occurrence *)
+let test_reported_plan_ran () =
+  let db = (Geo_gen.build Geo_gen.default).Geo_grid.db in
+  let s = Session.create ~obs:(Obs.create ()) db in
+  let dg = Session.enable_digest s in
+  let q1 = "SELECT ALL FROM state-area-edge-point WHERE state.name = 'S001';" in
+  let reg = Obs.registry s.Session.obs in
+  let visited () = Registry.counter_value reg "derive.atoms_visited" in
+  let roots () = Registry.counter_value reg "kernel.roots" in
+  let a0 = visited () and r0 = roots () in
+  ignore (Session.run s q1);
+  let plain = visited () - a0 in
+  check_int "one root derived" 1 (roots () - r0);
+  check_int "the pushed plan's atoms" 10 plain;
+  let explained =
+    match Session.parse s q1 with
+    | Mad_mql.Ast.Query q -> Session.plan s q
+    | _ -> Alcotest.fail "expected a query"
+  in
+  (match Digest.report dg with
+   | [ r ] ->
+     check_int "digest hashes the plan EXPLAIN prints"
+       (Mad_mql.Translate.plan_hash explained) r.Digest.r_plan
+   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
+  (* the α's generated name aside, EXPLAIN prints that plan *)
+  let body text = List.tl (String.split_on_char '\n' text) in
+  Alcotest.(check (list string))
+    "EXPLAIN prints that plan"
+    (List.tl (Mad_mql.Translate.lines explained))
+    (body (Session.explain s q1));
+  let report = Session.run_to_string s ("EXPLAIN ANALYZE " ^ q1) in
+  check "ANALYZE reports the plain run's atoms" true
+    (contains report (Printf.sprintf "actual=%d; links" plain))
+
+(* one EXPLAIN ANALYZE is one statement: one digest row, no phantom
+   row for the statement it profiles *)
+let test_analyze_one_row () =
+  let s = session () in
+  let dg = Session.enable_digest s in
+  ignore (Session.run s "DEFINE MOLECULE mts AS state-area-edge-point;");
+  ignore
+    (Session.run s "EXPLAIN ANALYZE SELECT ALL FROM mts WHERE state.name = 'SP';");
+  let rows = Digest.report dg in
+  check_int "DEFINE and EXPLAIN ANALYZE rows only" 2 (List.length rows);
+  check "no row for the profiled SELECT" true
+    (List.for_all
+       (fun r ->
+         contains r.Digest.r_text "DEFINE" || contains r.Digest.r_text "EXPLAIN")
+       rows);
+  List.iter (fun r -> check_int "one call each" 1 r.Digest.r_calls) rows
+
+(* EXPLAIN ANALYZE feeds its estimate drift into its own digest row *)
 let test_analyze_feeds_drift () =
-  with_hooks @@ fun () ->
-  Prima.Adaptive.install ();
   let s = session () in
   let dg = Session.enable_digest s in
   ignore
     (Session.run s
-       "EXPLAIN ANALYZE SELECT ALL FROM mt_state(state-area-edge-point);");
+       "EXPLAIN ANALYZE SELECT ALL FROM state-area-edge-point;");
   let drifted =
     List.filter (fun r -> r.Digest.r_drift > 0.0) (Digest.report dg)
   in
   check "a drift reading landed" true (drifted <> []);
   check "keyed by the profiled statement" true
     (List.exists
-       (fun r -> contains r.Digest.r_text "SELECT ALL FROM mt_state")
+       (fun r -> contains r.Digest.r_text "SELECT ALL FROM state-area-edge-point")
        drifted)
 
 (* ------------------------------------------------------------------ *)
 (* Slow-query log                                                       *)
 
 let test_slow_query_log () =
-  with_hooks @@ fun () ->
-  Prima.Adaptive.install ();
   let s = session () in
   ignore (Session.enable_digest s);
   let path = Filename.temp_file "t_digest_slow" ".log" in
@@ -248,7 +305,7 @@ let test_slow_query_log () =
     (fun () ->
       Recorder.set_enabled true;
       ignore
-        (Session.run s "SELECT ALL FROM mt_state(state-area-edge-point);");
+        (Session.run s "SELECT ALL FROM state-area-edge-point;");
       let lines =
         In_channel.with_open_text path In_channel.input_all
         |> String.split_on_char '\n'
@@ -260,7 +317,7 @@ let test_slow_query_log () =
       | Ok j ->
         check "full statement kept" true
           (match Json.member "statement" j with
-           | Some (Json.Str s) -> contains s "SELECT ALL FROM mt_state"
+           | Some (Json.Str s) -> contains s "SELECT ALL FROM state-area-edge-point"
            | _ -> false);
         check "analyze tree attached" true
           (match Json.member "analyze" j with
@@ -277,8 +334,6 @@ let test_slow_query_log () =
 
 (* DML must not be re-executed by the slow-log capture *)
 let test_slow_log_does_not_replay_dml () =
-  with_hooks @@ fun () ->
-  Prima.Adaptive.install ();
   let s = session () in
   ignore (Session.enable_digest s);
   let path = Filename.temp_file "t_digest_slow_dml" ".log" in
@@ -405,7 +460,6 @@ let test_merge_rejects_bad_header () =
 (* JSON report                                                          *)
 
 let test_to_json_shape () =
-  with_hooks @@ fun () ->
   let s = session () in
   let dg = Session.enable_digest s in
   ignore (Session.run s "SELECT ALL FROM state;");
@@ -435,6 +489,10 @@ let suite =
       test_repeated_source_uses_cache;
     Alcotest.test_case "plan switch detection" `Quick test_plan_switch_detection;
     Alcotest.test_case "plan hash identity" `Quick test_plan_hash_identity;
+    Alcotest.test_case "reported plan is the plan that ran" `Quick
+      test_reported_plan_ran;
+    Alcotest.test_case "EXPLAIN ANALYZE records one row" `Quick
+      test_analyze_one_row;
     Alcotest.test_case "analyze feeds drift" `Quick test_analyze_feeds_drift;
     Alcotest.test_case "slow query log" `Quick test_slow_query_log;
     Alcotest.test_case "slow log does not replay DML" `Quick

@@ -1,5 +1,6 @@
 (* Odds and ends: value/domain edges, forced propagation strategies,
-   executor projection, session rendering. *)
+   projection over a pruned plan, session rendering, the CLI's
+   profiled query. *)
 
 open Mad_store
 open Workloads
@@ -51,27 +52,33 @@ let test_forced_prop_strategies () =
   check "copied > shared" true (atoms_of copied > atoms_of shared);
   check "db still valid" true (Integrity.is_valid db)
 
-(* The executor's projection is the algebra's Π: unselected attributes
-   are hidden and no type is declared. *)
+(* The rewritten plan's projection (over a pruned derivation) is the
+   algebra's Π: unselected attributes are hidden and no type is
+   declared. *)
 let test_executor_projection () =
   let b = Geo_brazil.build () in
   let db = Geo_brazil.db b in
-  let q select =
-    {
-      Prima.Planner.name = "q";
-      desc = Geo_brazil.mt_state_desc b;
-      where = Some Mad.Qual.(attr "state" "hectare" >% int 900);
-      select;
-    }
+  let run select =
+    let p =
+      Mad_mql.Translate.P_restrict
+        ( Mad.Qual.(attr "state" "hectare" >% int 900),
+          Mad_mql.Translate.alpha ~name:"q" (Geo_brazil.mt_state_desc b) )
+    in
+    let p =
+      match select with
+      | None -> p
+      | Some items -> Mad_mql.Translate.P_project (items, p)
+    in
+    match
+      Mad_mql.Translate.run db (fun _ -> None) (Mad_mql.Translate.optimize p)
+    with
+    | Mad_mql.Translate.Molecules mt -> mt
+    | _ -> Alcotest.fail "expected molecules"
   in
   let types () = (Database.atom_type_names db, Database.link_type_names db) in
   let before = types () in
-  let all = (Prima.Executor.run db (q None)).Prima.Executor.mt in
-  let projected =
-    (Prima.Executor.run db
-       (q (Some [ ("state", Some [ "name" ]); ("area", None) ])))
-      .Prima.Executor.mt
-  in
+  let all = run None in
+  let projected = run (Some [ ("state", Some [ "name" ]); ("area", None) ]) in
   check_int "same cardinality" (MT.cardinality all) (MT.cardinality projected);
   Alcotest.(check (list string))
     "state shows name only" [ "name" ]
@@ -140,9 +147,50 @@ let test_qual_pp_roundtrip_operators () =
     (to_string (Agg (Sum, "edge", "length") >=% int 4) |> fun s ->
      String.length s > 0 && String.sub s 0 3 = "SUM")
 
+(* [madql query --profile] prints the reply and the profile of one
+   run: a profiled INSERT adds exactly one atom *)
+let test_cli_profile_runs_once () =
+  let madql =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/madql.exe"
+  in
+  let dir = Filename.temp_dir "t_misc_profile" "" in
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let query args =
+    let ic =
+      Unix.open_process_args_in madql
+        (Array.of_list ([ "madql"; "query"; "-d"; "brazil"; "--data"; dir ] @ args))
+    in
+    let out = In_channel.input_all ic in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> out
+    | _ -> Alcotest.failf "madql %s failed:\n%s" (String.concat " " args) out
+  in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  let out =
+    query [ "--profile=pretty"; "INSERT INTO city VALUES ('Zed', 5);" ]
+  in
+  check "the reply ends its line" true
+    (List.exists
+       (fun l -> String.length l > 9 && String.sub l 0 9 = "inserted ")
+       (String.split_on_char '\n' out));
+  check "the profile follows" true (contains out "actual:");
+  check "one Zed" true
+    (contains
+       (query [ "SELECT ALL FROM city WHERE city.name = 'Zed';" ])
+       "(1 molecules)")
+
 let suite =
   [
     Alcotest.test_case "value/domain edges" `Quick test_value_edges;
+    Alcotest.test_case "cli query --profile runs once" `Quick
+      test_cli_profile_runs_once;
     Alcotest.test_case "forced prop strategies" `Quick
       test_forced_prop_strategies;
     Alcotest.test_case "executor projection is Pi" `Quick

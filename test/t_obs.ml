@@ -222,66 +222,70 @@ let brazil () =
   let b = Geo_brazil.build () in
   (b, Geo_brazil.db b)
 
+let has_substr s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let test_profile_actuals_match_ground_truth () =
   let b, db = brazil () in
   let desc = Geo_brazil.mt_state_desc b in
-  let q = { Prima.Planner.name = "q"; desc; where = None; select = None } in
-  let r = Prima.Profile.analyze db q in
+  let session = Mad_mql.Session.create ~obs:(Obs.create ()) db in
+  let profile src = snd (Mad_mql.Session.run_profiled session src) in
+  let r = profile "SELECT ALL FROM state-area-edge-point;" in
+  let s =
+    match r.Mad_mql.Profile.scans with
+    | [ s ] -> s
+    | ss -> Alcotest.failf "expected one α run, got %d" (List.length ss)
+  in
   (* ground truth: a plain derivation with fresh counters *)
   let stats = Mad.Derive.stats () in
   let molecules = Mad.Derive.m_dom ~stats db desc in
-  check_int "actual roots" (List.length molecules) r.Prima.Profile.actual_roots;
+  check_int "actual roots" (List.length molecules) s.Mad_mql.Profile.roots;
   check_int "actual atoms" (Mad.Derive.atoms_visited stats)
-    r.Prima.Profile.actual_atoms;
+    r.Mad_mql.Profile.actual_atoms;
   check_int "actual links" (Mad.Derive.links_traversed stats)
-    r.Prima.Profile.actual_links;
+    r.Mad_mql.Profile.actual_links;
   (* the per-node actuals partition the totals *)
-  check_int "node atoms sum to total" r.Prima.Profile.actual_atoms
+  check_int "node atoms sum to total" r.Mad_mql.Profile.actual_atoms
     (List.fold_left
-       (fun acc nr -> acc + nr.Prima.Profile.nr_atoms)
-       0 r.Prima.Profile.nodes);
-  check_int "node links sum to total" r.Prima.Profile.actual_links
+       (fun acc nr -> acc + nr.Mad_mql.Profile.nr_atoms)
+       0 s.Mad_mql.Profile.nodes);
+  check_int "node links sum to total" r.Mad_mql.Profile.actual_links
     (List.fold_left
-       (fun acc nr -> acc + nr.Prima.Profile.nr_links)
-       0 r.Prima.Profile.nodes);
+       (fun acc nr -> acc + nr.Mad_mql.Profile.nr_links)
+       0 s.Mad_mql.Profile.nodes);
   (* with uniform synthetic stats the estimator is exact on roots *)
   check "root estimate exact" true
-    (int_of_float r.Prima.Profile.est.Prima.Stats.est_roots
-    = r.Prima.Profile.actual_roots);
+    (int_of_float s.Mad_mql.Profile.est.Prima.Stats.est_roots
+    = s.Mad_mql.Profile.roots);
   (* one report per structure node *)
   check_int "one report per node" (List.length (Mad.Mdesc.nodes desc))
-    (List.length r.Prima.Profile.nodes);
-  (* the stage timings are the run's op.latency_us{op=prima.*} sums:
-     the stages that ran, in executor order, each within the whole
-     execution — with a residual and a selection, filter and project
-     run too *)
-  let check_stages name expected (r : Prima.Profile.t) =
-    Alcotest.(check (list string))
-      (name ^ ": stages in executor order")
-      expected
-      (List.map fst r.Prima.Profile.stages);
-    check (name ^ ": execution timed") true (r.Prima.Profile.duration_ms > 0.0);
+    (List.length s.Mad_mql.Profile.nodes);
+  (* each α's scan and derivation is timed within the whole run *)
+  let check_timed name (r : Mad_mql.Profile.t) =
+    check (name ^ ": execution timed") true (r.Mad_mql.Profile.duration_ms > 0.0);
     List.iter
-      (fun (stage, ms) ->
-        check
-          (name ^ ": " ^ stage ^ " within the execution")
-          true
-          (ms >= 0.0 && ms <= r.Prima.Profile.duration_ms))
-      r.Prima.Profile.stages
+      (fun (s : Mad_mql.Profile.scan) ->
+        check (name ^ ": α within the execution") true
+          (s.Mad_mql.Profile.ms >= 0.0
+          && s.Mad_mql.Profile.ms <= r.Mad_mql.Profile.duration_ms))
+      r.Mad_mql.Profile.scans
   in
-  check_stages "plain" [ "prima.plan"; "prima.scan"; "prima.derive" ] r;
-  check_stages "filtered"
-    [ "prima.plan"; "prima.scan"; "prima.derive"; "prima.filter";
-      "prima.project" ]
-    (Prima.Profile.analyze db
-       {
-         q with
-         where = Some Mad.Qual.(attr "point" "name" =% str "pn");
-         select = Some [ ("state", None); ("area", None) ];
-       })
+  check_timed "plain" r;
+  (* with a root restriction and a selection, the report's plan
+     carries Π over the pushed scan and the pruned derivation *)
+  let r =
+    profile
+      "SELECT state, area FROM state-area-edge-point WHERE state.hectare > 500;"
+  in
+  check_timed "filtered" r;
+  let text = Mad_mql.Profile.to_string r in
+  List.iter
+    (fun sub -> check ("filtered report shows " ^ sub) true (has_substr text sub))
+    [ "Π[state,area]"; "scan state where state.hectare > 500"; "derive md" ]
 
 let test_explain_analyze_via_session () =
-  Prima.Adaptive.install ();
   let _, db = brazil () in
   let session = Mad_mql.Session.create db in
   let report =
@@ -303,16 +307,10 @@ let test_explain_analyze_via_session () =
   in
   check "plain explain shows algebra" true (has_substr explained "root state")
 
-let has_substr s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* the full loop at the session layer: per-statement latency histograms
    land in the session's registry, repeated EXPLAIN ANALYZE runs refine
    the adaptive catalog, and both the report and the registry expose it *)
 let test_adaptive_session () =
-  Prima.Adaptive.install ();
   let _, db = brazil () in
   let obs = Obs.create () in
   let session = Mad_mql.Session.create ~obs db in
@@ -332,12 +330,9 @@ let test_adaptive_session () =
   let r2 = Mad_mql.Session.run_to_string session stmt in
   check "adaptive section present" true (has_substr r1 "adaptive:");
   check "refinements counted across runs" true (has_substr r2 "2 run(s)");
-  (match session.Mad_mql.Session.ext with
-  | Some (Prima.Adaptive.Adaptive st) ->
-    check_int "two refinements recorded" 2 st.Prima.Adaptive.refinements
-  | _ -> Alcotest.fail "adaptive state missing from session");
+  check_int "two refinements recorded" 2 session.Mad_mql.Session.refinements;
   check "drift report renders" true
-    (has_substr (Prima.Adaptive.report session) "refinement")
+    (has_substr (Mad_mql.Session.drift_report session) "refinement")
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                      *)
@@ -395,7 +390,7 @@ let test_recorder_concurrent_domains () =
 let test_recorder_chrome_export () =
   with_fake_clock 0.001 @@ fun () ->
   let r = Recorder.create 64 in
-  ignore (Recorder.record r Recorder.Span_begin ~label:"prima.plan" ());
+  ignore (Recorder.record r Recorder.Plan_switch ~label:"abc" ~a:1 ~b:2 ());
   ignore
     (Recorder.record r Recorder.Span_end ~label:"mql.statement"
        ~dur_ns:500_000 ~a:0 ());
@@ -426,7 +421,7 @@ let test_recorder_chrome_export () =
   List.iter
     (fun n -> check ("event " ^ n) true (List.mem n names))
     [ "mql.statement"; "wal.append"; "wal.fsync"; "kernel.run";
-      "snapshot.build"; "prima.plan"; "thread_name" ];
+      "snapshot.build"; "plan.switch"; "thread_name" ];
   (* the WAL and the planner get their own named tracks *)
   let thread_names =
     List.filter_map

@@ -647,17 +647,292 @@ let prop_estimates_rank_plans =
     pred (fun p ->
       let db = Database.copy brazil_db in
       let t = Prima.Stats.collect db in
-      let q =
-        {
-          Prima.Planner.name = "q";
-          desc = Geo_brazil.mt_state_desc brazil;
-          where = Some p;
-          select = None;
-        }
+      let desc = Geo_brazil.mt_state_desc brazil in
+      let root_pred =
+        match
+          Mad_mql.Translate.optimize
+            (Mad_mql.Translate.P_restrict
+               (p, Mad_mql.Translate.alpha ~name:"q" desc))
+        with
+        | Mad_mql.Translate.P_define a
+        | Mad_mql.Translate.P_restrict (_, Mad_mql.Translate.P_define a) ->
+          a.Mad_mql.Translate.push
+        | _ -> None
       in
-      let naive = Prima.Stats.estimate t (Prima.Planner.plan ~optimize:false q) in
-      let opt = Prima.Stats.estimate t (Prima.Planner.plan ~optimize:true q) in
+      let naive = Prima.Stats.estimate t ~root_pred:None desc in
+      let opt = Prima.Stats.estimate t ~root_pred desc in
       opt.Prima.Stats.est_links <= naive.Prima.Stats.est_links +. 1e-9)
+
+(* ------------------------------------------------------------------ *)
+(* The rewritten plan against the naive plan                            *)
+
+module T = Mad_mql.Translate
+module R = Mad_recursive.Recursive
+
+(* where a random qualification ranges: the structure's nodes (the
+   root first) over a database; [members] for recursive and cycle
+   types, whose root also carries the DEPTH pseudo-attribute *)
+type qctx = { db : Database.t; nodes : string array; members : bool }
+
+let attrs ctx node =
+  Array.of_list
+    (List.map
+       (fun (a : Schema.Attr.t) -> (a.Schema.Attr.name, a.Schema.Attr.domain))
+       (Database.atom_type ctx.db node).Schema.Atom_type.attrs)
+
+(* the k-th atom's value, so equalities hit real data *)
+let value_of ctx node attr k =
+  match Database.atoms ctx.db node with
+  | [] -> Value.Int 0
+  | atoms ->
+    let a = List.nth atoms (k mod List.length atoms) in
+    Atom.value a (Database.atom_type ctx.db node) attr
+
+let int_attr ctx node =
+  List.find_opt
+    (fun (_, d) -> d = Domain.Int)
+    (Array.to_list (attrs ctx node))
+  |> Option.map fst
+
+(* a random qualification as a function of its context: root-only
+   conjuncts half the time, COUNT, SUM and DEPTH among the leaves *)
+let qual_gen : (qctx -> Mad.Qual.t) Q.Gen.t =
+  let open Q.Gen in
+  let node = frequency [ (3, return 0); (2, int_bound 5) ] in
+  let pick ctx i = ctx.nodes.(i mod Array.length ctx.nodes) in
+  let cmp = oneofl Mad.Qual.[ Eq; Ne; Lt; Ge ] in
+  let leaf =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun i j (c, k) ctx ->
+              let n = pick ctx i in
+              let a = attrs ctx n in
+              let attr, _ = a.(j mod Array.length a) in
+              Mad.Qual.Cmp (c, Mad.Qual.attr n attr, Mad.Qual.Const (value_of ctx n attr k)))
+            node nat (pair cmp nat) );
+        ( 1,
+          map2
+            (fun i k ctx -> Mad.Qual.(Count (pick ctx i) >=% int k))
+            node (int_bound 4) );
+        ( 1,
+          map2
+            (fun i k ctx ->
+              let n = pick ctx i in
+              match int_attr ctx n with
+              | Some a -> Mad.Qual.(Agg (Sum, n, a) >% int (k * 10))
+              | None -> Mad.Qual.(Count n >=% int k))
+            node (int_bound 20) );
+        ( 1,
+          map
+            (fun k ctx ->
+              if ctx.members then Mad.Qual.(attr ctx.nodes.(0) "DEPTH" <=% int k)
+              else Mad.Qual.True)
+            (int_bound 3) );
+        (1, return (fun _ -> Mad.Qual.False));
+      ]
+  in
+  let rec tree depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (3, leaf);
+          ( 3,
+            map2 (fun a b ctx -> Mad.Qual.And (a ctx, b ctx)) (tree (depth - 1))
+              (tree (depth - 1)) );
+          ( 1,
+            map2 (fun a b ctx -> Mad.Qual.Or (a ctx, b ctx)) (tree (depth - 1))
+              (tree (depth - 1)) );
+          (1, map (fun a ctx -> Mad.Qual.Not (a ctx)) (tree (depth - 1)));
+          ( 1,
+            map2
+              (fun i a ctx ->
+                let n = pick ctx i in
+                Mad.Qual.Exists (n, a { ctx with nodes = [| n |] }))
+              node leaf );
+        ]
+  in
+  tree 3
+
+let qual = Q.make qual_gen ~print:(fun _ -> "<qualification>")
+
+(* a random SELECT: ALL, or the root plus some nodes, some with one
+   attribute *)
+let select_gen : (qctx -> (string * string list option) list option) Q.Gen.t =
+  Q.Gen.(
+    map2
+      (fun all picks ctx ->
+        if all then None
+        else
+          let n = Array.length ctx.nodes in
+          Some
+            ((ctx.nodes.(0), None)
+            :: List.sort_uniq compare
+                 (List.filter_map
+                    (fun (i, one) ->
+                      let node = ctx.nodes.(1 + (i mod max 1 (n - 1))) in
+                      if n = 1 then None
+                      else if one then
+                        Some (node, Some [ fst (attrs ctx node).(0) ])
+                      else Some (node, None))
+                    picks)))
+      bool
+      (list_size (int_bound 3) (pair nat bool)))
+
+(* the reply as a session renders it, without the generated type name
+   on its first line; an error is its message *)
+let reply db plan =
+  match T.run db (fun _ -> None) plan with
+  | result ->
+    let text =
+      match result with
+      | T.Molecules mt ->
+        Format.asprintf "%a" (fun ppf () -> Mad.Render.pp_molecule_type db ppf mt) ()
+      | T.Recursive r -> Format.asprintf "%a" R.pp (db, r)
+      | T.Cycles c -> Format.asprintf "%a" R.pp_cycle (db, c)
+    in
+    List.tl (String.split_on_char '\n' text)
+  | exception Err.Mad_error msg -> [ "error: " ^ msg ]
+
+(* a recursive or cycle scan never takes COUNT, an aggregate or DEPTH *)
+let rec pushes_plain_attrs = function
+  | T.P_recursive (_, Some q) | T.P_cycle (_, Some q) ->
+    let rec expr = function
+      | Mad.Qual.Const _ -> true
+      | Mad.Qual.Attr { attr; _ } -> attr <> "DEPTH"
+      | Mad.Qual.Count _ | Mad.Qual.Agg _ -> false
+      | Mad.Qual.Add (a, b) | Mad.Qual.Sub (a, b) | Mad.Qual.Mul (a, b)
+      | Mad.Qual.Div (a, b) ->
+        expr a && expr b
+    in
+    let rec ok = function
+      | Mad.Qual.True | Mad.Qual.False -> true
+      | Mad.Qual.Cmp (_, a, b) -> expr a && expr b
+      | Mad.Qual.And (a, b) | Mad.Qual.Or (a, b) -> ok a && ok b
+      | Mad.Qual.Not a -> ok a
+      | Mad.Qual.Exists _ | Mad.Qual.Forall _ -> false
+    in
+    ok q
+  | T.P_restrict (_, p) | T.P_project (_, p) -> pushes_plain_attrs p
+  | T.P_union (a, b) | T.P_diff (a, b) | T.P_intersect (a, b) | T.P_product (a, b)
+    ->
+    pushes_plain_attrs a && pushes_plain_attrs b
+  | T.P_define _ | T.P_ref _ | T.P_recursive (_, None) | T.P_cycle (_, None) ->
+    true
+
+let same_reply db plan =
+  let optimized = T.optimize plan in
+  let naive = reply db plan and rewritten = reply db optimized in
+  if naive = rewritten && pushes_plain_attrs optimized then true
+  else
+    Q.Test.fail_reportf "plan:@.%s@.rewritten:@.%s@.naive:@.%s@.rewritten:@.%s"
+      (String.concat "\n" (T.lines plan))
+      (String.concat "\n" (T.lines optimized))
+      (String.concat "\n" naive) (String.concat "\n" rewritten)
+
+let prop_rewrite_alpha =
+  Q.Test.make ~count:60 ~name:"rewritten plan = naive plan (random geo α)"
+    (Q.triple geo_params qual (Q.make select_gen)) (fun (p, q, select) ->
+      let db = (Geo_gen.build p).Geo_grid.db in
+      List.for_all
+        (fun desc ->
+          let ctx =
+            {
+              db;
+              nodes =
+                Array.of_list
+                  (Mad.Mdesc.root desc
+                  :: List.filter
+                       (fun n -> n <> Mad.Mdesc.root desc)
+                       (Mad.Mdesc.nodes desc));
+              members = false;
+            }
+          in
+          let plan = T.P_restrict (q ctx, T.alpha ~name:"q" desc) in
+          same_reply db
+            (match select ctx with
+             | None -> plan
+             | Some items -> T.P_project (items, plan)))
+        [
+          Geo_schema.mt_state_desc db;
+          Geo_schema.point_neighborhood_desc db;
+          Geo_schema.mt_river_desc db;
+        ])
+
+let prop_rewrite_recursive =
+  Q.Test.make ~count:40
+    ~name:"rewritten plan = naive plan (random BOM recursion)"
+    (Q.quad bom_params qual Q.bool (Q.option (Q.int_bound 3)))
+    (fun (p, q, sub, max_depth) ->
+      let db = (Bom_gen.build p).Bom_gen.db in
+      let d =
+        R.v db ~root_type:"part" ~link:"composition"
+          ~view:(if sub then R.Sub else R.Super)
+          ?max_depth ()
+      in
+      same_reply db
+        (T.P_restrict
+           (q { db; nodes = [| "part" |]; members = true }, T.P_recursive (d, None))))
+
+let prop_rewrite_cycle =
+  Q.Test.make ~count:30 ~name:"rewritten plan = naive plan (random VLSI cycles)"
+    (Q.triple vlsi_params qual (Q.option (Q.int_bound 2)))
+    (fun (p, q, max_depth) ->
+      let db = (Vlsi_gen.build p).Vlsi_gen.db in
+      let d =
+        R.cycle db ~root_type:"cell"
+          ~steps:
+            [
+              ("cell-pin", `Fwd); ("net-pin", `Bwd); ("net-pin", `Fwd);
+              ("cell-pin", `Bwd);
+            ]
+          ?max_depth ()
+      in
+      same_reply db
+        (T.P_restrict
+           (q { db; nodes = [| "cell" |]; members = true }, T.P_cycle (d, None))))
+
+(* DELETE over an anonymous structure derives the whole occurrence: an
+   atom a surviving molecule shares (a border edge, a corner point)
+   stays *)
+let prop_anon_delete_shared_safe =
+  Q.Test.make ~count:30 ~name:"anonymous DELETE spares atoms survivors share"
+    (Q.pair geo_params Q.small_nat) (fun (p, k) ->
+      let db = (Geo_gen.build p).Geo_grid.db in
+      let desc = Geo_schema.mt_state_desc db in
+      let before = Mad.Derive.m_dom db desc in
+      let victim = List.nth before (k mod List.length before) in
+      let survivors =
+        List.filter
+          (fun (m : Mad.Molecule.t) -> not (Aid.equal m.root victim.root))
+          before
+      in
+      let name =
+        match Atom.value (Database.atom db victim.root) (Database.atom_type db "state") "name" with
+        | Value.String s -> s
+        | _ -> Q.Test.fail_report "state name is not a string"
+      in
+      let s = Mad_mql.Session.create ~obs:(Mad_obs.Obs.create ()) db in
+      ignore
+        (Mad_mql.Session.run s
+           (Printf.sprintf
+              "DELETE FROM state-area-edge-point WHERE state.name = '%s';" name));
+      let alive id = Database.find_atom db id <> None in
+      let shared = Aid.Set.inter (Mad.Molecule.atoms victim)
+          (List.fold_left
+             (fun acc m -> Aid.Set.union acc (Mad.Molecule.atoms m))
+             Aid.Set.empty survivors)
+      in
+      (not (alive victim.root))
+      && Aid.Set.for_all alive shared
+      && List.for_all
+           (fun m -> Aid.Set.for_all alive (Mad.Molecule.atoms m))
+           survivors
+      && Aid.Set.for_all
+           (fun id -> Aid.Set.mem id shared || not (alive id))
+           (Mad.Molecule.atoms victim))
 
 let suite =
   List.map to_alcotest
@@ -668,6 +943,10 @@ let suite =
       prop_paged_equals_direct;
       prop_recursive_setop_laws;
       prop_estimates_rank_plans;
+      prop_rewrite_alpha;
+      prop_rewrite_recursive;
+      prop_rewrite_cycle;
+      prop_anon_delete_shared_safe;
       prop_parser_total;
       prop_cycle_equals_reference;
       prop_derivation_satisfies_spec;
