@@ -21,6 +21,7 @@ let () =
       ("paged", T_paged.suite);
       ("workloads", T_workloads.suite);
       ("render", T_render.suite);
+      ("golden", T_golden.suite);
       ("obs", T_obs.suite);
       ("timeline", T_timeline.suite);
       ("digest", T_digest.suite);
