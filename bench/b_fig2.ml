@@ -2,7 +2,8 @@
    neighborhood') derived from the same atom networks, with shared
    subobjects; cost compared across the three engines: MAD derivation,
    the relational join plan over auxiliary relations, and the NF²
-   embedding (which must duplicate shared atoms). *)
+   embedding (which must duplicate shared atoms); and what rendering
+   Fig. 2's hierarchical trees costs at the served benchmark's scale. *)
 
 open Mad_store
 open Workloads
@@ -145,4 +146,37 @@ let run () =
       ("4x4", { Geo_gen.default with Geo_gen.rows = 4; cols = 4 });
       ("8x8", { Geo_gen.default with Geo_gen.rows = 8; cols = 8 });
     ];
+  Table.print t;
+
+  (* rendering at the scale of the served benchmark: every [mts]
+     molecule of its 32x32 grid (geo_scan's SELECT ALL FROM mts), and
+     one explosion of its 512-part BOM (bom_explode) *)
+  let t = Table.create [ "result"; "atoms"; "bytes"; "render" ] in
+  let row name atoms pp v =
+    let bytes = String.length (Format.asprintf "%a" pp v) in
+    let ns = Bench_util.time_ns ("fig2/render/" ^ name) (fun () -> Format.asprintf "%a" pp v) in
+    Table.add_row t [ name; string_of_int atoms; string_of_int bytes; Bench_util.pp_ns ns ]
+  in
+  let g =
+    Geo_gen.build
+      {
+        Geo_gen.rows = 32;
+        cols = 32;
+        rivers = 32;
+        river_len = 8;
+        cities = 128;
+        shared_rivers = true;
+        seed = 1;
+      }
+  in
+  let gdb = g.Geo_grid.db in
+  let mts = Mad.Molecule_algebra.define gdb ~name:"mts" (Geo_schema.mt_state_desc gdb) in
+  let atoms = List.fold_left (fun n m -> n + Mad.Molecule.atom_count m) 0 mts.occ in
+  row "mts-32x32" atoms (Mad.Render.pp_molecule_type gdb) mts;
+  let bom = Bom_gen.build { Bom_gen.depth = 8; width = 64; fanout = 3; share = 0.5; seed = 1 } in
+  let bdb = bom.Bom_gen.db in
+  let module R = Mad_recursive.Recursive in
+  let root = (List.hd (Database.atoms bdb "part")).Atom.id in
+  let r = R.define bdb ~name:"explode" ~roots:[ root ] (R.v bdb ~root_type:"part" ~link:"composition" ()) in
+  row "bom-explode" (Aid.Set.cardinal (List.hd r.R.occ).R.members) R.pp (bdb, r);
   Table.print t

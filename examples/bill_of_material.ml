@@ -28,7 +28,7 @@ let () =
   let t = { R.name = "explosion"; desc = sub; occ = [ m ] } in
   Format.printf "%a@." (R.pp_molecule db t) m;
   Format.printf "explosion of %s: %d parts over %d links@."
-    (R.atom_label db "part" root)
+    (Mad.Render.atom_label db "part" root)
     (Aid.Set.cardinal m.R.members)
     (Link.Set.cardinal m.R.links);
 
@@ -43,7 +43,7 @@ let () =
   let one = R.v db ~root_type:"part" ~link:"composition" ~max_depth:1 () in
   let m1 = R.derive_one db one root in
   Format.printf "direct components of %s: %d@."
-    (R.atom_label db "part" root)
+    (Mad.Render.atom_label db "part" root)
     (Aid.Set.cardinal m1.R.members - 1);
 
   rule "the same through MOL";

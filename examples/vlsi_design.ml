@@ -66,7 +66,7 @@ let () =
   List.iter
     (fun (id, os) ->
       Format.printf "  %s used by %d parents@."
-        (R.atom_label db "cell" id) (List.length os))
+        (Mad.Render.atom_label db "cell" id) (List.length os))
     (List.sort compare shared |> List.filteri (fun i _ -> i < 6));
 
   rule "engineering change through MOL DML";
@@ -96,7 +96,7 @@ let () =
       occ
   in
   Format.printf "cells electrically reachable from %s: %d (via %d nets)@."
-    (R.atom_label db "cell" nand.R.c_root_atom)
+    (Mad.Render.atom_label db "cell" nand.R.c_root_atom)
     (Aid.Set.cardinal nand.R.c_members - 1)
     (Aid.Set.cardinal
        (Option.value ~default:Aid.Set.empty

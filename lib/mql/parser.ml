@@ -30,6 +30,10 @@ let ident st =
     st.pos <- st.pos - 1;
     fail_at st "expected identifier"
 
+(* an attribute name after '.': DEPTH, a keyword elsewhere, names the
+   recursive types' depth pseudo-attribute here *)
+let attr_name st = if accept st (L.KW "DEPTH") then "DEPTH" else ident st
+
 let atid st =
   match next st with
   | L.ATID i -> i
@@ -183,7 +187,7 @@ and parse_factor st =
     expect st L.LPAREN "expected '(' after aggregate";
     let n = ident st in
     expect st L.DOT "expected '.' in aggregate argument";
-    let a = ident st in
+    let a = attr_name st in
     expect st L.RPAREN "expected ')' after aggregate";
     let agg =
       match kw with
@@ -196,7 +200,7 @@ and parse_factor st =
   | L.IDENT _ ->
     let node = ident st in
     expect st L.DOT "expected '.' in attribute reference";
-    let attr = ident st in
+    let attr = attr_name st in
     Mad.Qual.attr node attr
   | L.INT _ | L.FLOAT _ | L.STRING _ | L.KW "TRUE" | L.KW "FALSE" ->
     Mad.Qual.Const (value_of_token st)
@@ -448,7 +452,7 @@ let parse_plain_stmt st env_has =
     else if accept st (L.KW "MODIFY") then begin
       let node = ident st in
       expect st L.DOT "expected '.' in MODIFY target";
-      let attr = ident st in
+      let attr = attr_name st in
       expect st L.EQ "expected '=' in MODIFY";
       let value = value_of_token st in
       expect st (L.KW "FROM") "expected FROM in MODIFY";

@@ -645,21 +645,19 @@ let run_profiled t src =
   | o, Some r -> (o, r)
   | _, None -> assert false
 
-(** Render an outcome as the CLI/examples print it. *)
-let render t = function
+(** Render an outcome as the CLI/examples print it, appending to [b]. *)
+let render_into ?limit t b = function
   | Defined mt ->
-    Format.asprintf "defined %a" Mad.Molecule_type.pp_summary mt
-  | Result (Translate.Molecules mt) ->
-    Format.asprintf "%a" (fun ppf () -> Mad.Render.pp_molecule_type t.db ppf mt) ()
-  | Result (Translate.Recursive r) ->
-    Format.asprintf "%a" Mad_recursive.Recursive.pp (t.db, r)
-  | Result (Translate.Cycles c) ->
-    Format.asprintf "%a" Mad_recursive.Recursive.pp_cycle (t.db, c)
-  | Inserted atom ->
-    Format.asprintf "inserted %a as @%d" Fmt.string atom.Atom.atype
-      atom.Atom.id
-  | Dml msg -> msg
-  | Explained report -> report
+    Format.kasprintf (Buffer.add_string b) "defined %a" Mad.Molecule_type.pp_summary mt
+  | Result (Translate.Molecules mt) -> Mad.Render.add_molecule_type ?limit t.db b mt
+  | Result (Translate.Recursive r) -> Mad_recursive.Recursive.add ?limit t.db b r
+  | Result (Translate.Cycles c) -> Mad_recursive.Recursive.add_cycles ?limit t.db b c
+  | Inserted atom -> Printf.bprintf b "inserted %s as @%d" atom.Atom.atype atom.Atom.id
+  | Dml text | Explained text ->
+    Buffer.add_string b text;
+    Mad.Render.check ?limit b
+
+let render t o = Mad.Render.to_string (fun b -> render_into t b o)
 
 let run_to_string t src = render t (run t src)
 

@@ -166,9 +166,14 @@ val fault_spin_ms : float option ref
     probe — observe as a genuine regression.  [None] (the default)
     costs one ref read per statement. *)
 
+val render_into : ?limit:int -> t -> Buffer.t -> outcome -> unit
+(** Append an outcome as the CLI prints it (molecule trees, explosion
+    trees, DML summaries, reports) to the buffer.  With [limit], raise
+    {!Mad.Render.Too_large} as soon as the buffer holds more than
+    [limit] bytes: a result is not rendered past the cap. *)
+
 val render : t -> outcome -> string
-(** An outcome as the CLI prints it (molecule trees, explosion trees,
-    DML summaries, reports). *)
+(** {!render_into} a fresh buffer. *)
 
 val run_to_string : t -> string -> string
 (** {!run}, then {!render}. *)

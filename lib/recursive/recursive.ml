@@ -744,78 +744,56 @@ let cycle_restrict db pred (t : cycle_t) ~name =
 (* ------------------------------------------------------------------ *)
 (* Rendering: indented explosion with cycle/again marks                 *)
 
-let atom_label db root_type id =
-  let at = Database.atom_type db root_type in
-  let a = Database.get_atom db ~atype:root_type id in
-  match
-    List.find_map
-      (fun (attr : Schema.Attr.t) ->
-        match Atom.value a at attr.name with
-        | Value.String s -> Some s
-        | Value.Int _ | Value.Float _ | Value.Bool _ | Value.Id _
-        | Value.List _ ->
-          None)
-      at.attrs
-  with
-  | Some s -> Printf.sprintf "%s[%s]" (Aid.to_string id) s
-  | None -> Aid.to_string id
+(** An explosion tree.  Atoms already printed on the current path are
+    marked [cycle], atoms printed elsewhere [shared, see above]. *)
+let walker ?limit db b (t : t) =
+  let node = t.desc.root_type and dir = dir_of_view t.desc.view in
+  let attrs = Mad.Render.label_attrs db node in
+  let part n = if n = node then None else Some ("| " ^ n ^ " ", n, Mad.Render.label_attrs db n) in
+  let parts = List.filter_map part (Option.fold ~none:[] ~some:Mad.Mdesc.nodes t.desc.component) in
+  fun (m : molecule) ->
+    let printed = Hashtbl.create 16 in
+    let rec walk depth path id =
+      Mad.Render.check ?limit b;
+      Mad.Render.add_line b db ~depth "" node attrs id;
+      if Aid.Set.mem id path then Buffer.add_string b " (cycle)\n"
+      else if Hashtbl.mem printed id then Buffer.add_string b " (shared, see above)\n"
+      else begin
+        Hashtbl.replace printed id ();
+        Buffer.add_char b '\n';
+        Option.iter (fun sub ->
+            List.iter (fun (head, n, attrs) ->
+                Aid.Set.iter (fun cid -> Mad.Render.add_line b db ~depth head n attrs cid; Buffer.add_char b '\n')
+                  (Mad.Molecule.component sub n))
+              parts)
+          (Aid.Map.find_opt id m.components);
+        Database.iter_neighbors db t.desc.link ~dir id (fun c ->
+            if Aid.Set.mem c m.members then walk (depth + 1) (Aid.Set.add id path) c)
+      end
+    in
+    walk 0 Aid.Set.empty m.root
 
-(** Print a molecule as an explosion tree.  Atoms already printed on
-    the current path are marked [cycle]; atoms printed elsewhere are
-    expanded again only with [~expand_shared:true]. *)
-let pp_molecule ?(expand_shared = false) db (t : t) ppf (m : molecule) =
-  let dir = dir_of_view t.desc.view in
-  let printed = Hashtbl.create 16 in
-  let rec walk indent path id =
-    let label = atom_label db t.desc.root_type id in
-    if Aid.Set.mem id path then Fmt.pf ppf "%s%s (cycle)@." indent label
-    else if Hashtbl.mem printed id && not expand_shared then
-      Fmt.pf ppf "%s%s (shared, see above)@." indent label
-    else begin
-      Hashtbl.replace printed id ();
-      Fmt.pf ppf "%s%s@." indent label;
-      (* component sub-structure of this member, if any *)
-      (match Aid.Map.find_opt id m.components with
-       | None -> ()
-       | Some sub ->
-         (match t.desc.component with
-          | None -> ()
-          | Some cdesc ->
-            List.iter
-              (fun node ->
-                if not (String.equal node t.desc.root_type) then
-                  Aid.Set.iter
-                    (fun cid ->
-                      Fmt.pf ppf "%s| %s %s@." indent node
-                        (atom_label db node cid))
-                    (Mad.Molecule.component sub node))
-              (Mad.Mdesc.nodes cdesc)));
-      let children =
-        Aid.Set.inter
-          (Database.neighbors db t.desc.link ~dir id)
-          m.members
-      in
-      Aid.Set.iter
-        (fun c -> walk (indent ^ "  ") (Aid.Set.add id path) c)
-        children
-    end
-  in
-  walk "" Aid.Set.empty m.root
+let add ?limit db b (t : t) =
+  Format.kasprintf (Buffer.add_string b) "recursive molecule type %s: %a (%d molecules)@." t.name
+    pp_desc t.desc (List.length t.occ);
+  let walk = walker ?limit db b t in
+  List.iter (fun m -> walk m; Buffer.add_char b '\n') t.occ
 
-let pp ppf (db, t) =
-  Fmt.pf ppf "recursive molecule type %s: %a (%d molecules)@." t.name pp_desc
-    t.desc (List.length t.occ);
-  List.iter (fun m -> pp_molecule db t ppf m; Fmt.pf ppf "@.") t.occ
-
-let pp_cycle ppf ((db, t) : Database.t * cycle_t) =
-  Fmt.pf ppf "cycle molecule type %s: %a (%d molecules)@." t.cname
+let add_cycles ?limit db b (t : cycle_t) =
+  Format.kasprintf (Buffer.add_string b) "cycle molecule type %s: %a (%d molecules)@." t.cname
     pp_cycle_desc t.cdesc (List.length t.cocc);
+  let node = t.cdesc.c_root in
+  let attrs = Mad.Render.label_attrs db node in
+  let label head id = Mad.Render.add_line b db ~depth:0 head node attrs id in
   List.iter
     (fun (m : cycle_molecule) ->
-      Fmt.pf ppf "%s: {%s}@."
-        (atom_label db t.cdesc.c_root m.c_root_atom)
-        (String.concat ", "
-           (List.map
-              (atom_label db t.cdesc.c_root)
-              (Aid.Set.elements m.c_members))))
+      label "" m.c_root_atom;
+      Buffer.add_string b ": {";
+      List.iteri (fun i -> label (if i = 0 then "" else ", ")) (Aid.Set.elements m.c_members);
+      Buffer.add_string b "}\n";
+      Mad.Render.check ?limit b)
     t.cocc
+
+let pp_molecule db t ppf m = Fmt.string ppf (Mad.Render.to_string (fun b -> walker db b t m))
+let pp ppf (db, t) = Fmt.string ppf (Mad.Render.to_string (fun b -> add db b t))
+let pp_cycle ppf (db, t) = Fmt.string ppf (Mad.Render.to_string (fun b -> add_cycles db b t))

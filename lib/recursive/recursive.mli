@@ -145,10 +145,20 @@ val cycle_satisfies : Database.t -> cycle_t -> cycle_molecule -> Mad.Qual.t -> b
 val cycle_restrict : Database.t -> Mad.Qual.t -> cycle_t -> name:string -> cycle_t
 val pp_cycle : Format.formatter -> Database.t * cycle_t -> unit
 
-val atom_label : Database.t -> string -> Aid.t -> string
+(** {1 Rendering}
+
+    Buffer walkers in the style of {!Mad.Render}: with [limit] they
+    raise {!Mad.Render.Too_large} once the buffer is past [limit]
+    bytes. *)
+
+val add : ?limit:int -> Database.t -> Buffer.t -> t -> unit
+(** A header line, then each molecule's explosion tree and a blank
+    line. *)
+
+val add_cycles : ?limit:int -> Database.t -> Buffer.t -> cycle_t -> unit
+(** A header line, then one [root: {members}] line per molecule. *)
 
 val pp_molecule :
-  ?expand_shared:bool ->
   Database.t ->
   t ->
   Format.formatter ->

@@ -196,6 +196,7 @@ type conn_state = {
   mutable last_epoch : int;  (** db epoch as of this session's last look *)
   mutable appended : int;  (** WAL position published by the commit hook *)
   mutable acked : int;  (** highest position the coordinator confirmed *)
+  reply : Buffer.t;  (** the response frame under construction *)
 }
 
 let lock_hist tbl cls =
@@ -203,9 +204,12 @@ let lock_hist tbl cls =
   | Some h -> h
   | None -> Hashtbl.find tbl "other"
 
-(* Run one statement-bearing request under the engine lock; the fsync
+(* Run one statement-bearing request under the engine lock, rendering
+   its reply into [st.reply] behind the reserved header; the fsync
    wait for any commit it performed happens OUTSIDE the lock, in the
-   group-commit coordinator.  Returns the response plus the request's
+   group-commit coordinator.  A Query's result is rendered only up to
+   the connection's frame cap: past it the reply becomes the typed
+   cap error.  Returns the status plus the request's
    engine-side phases as [(name, dur_ns, end_ticks)] — lock wait,
    execution, WAL flush (the commit hooks' share of the under-lock
    time) and fsync wait.  Lock wait and hold times also feed the
@@ -241,18 +245,25 @@ let eval_locked t st req =
              session last looked: re-derive its catalog first *)
           let e = Database.epoch t.db in
           if st.last_epoch <> e then Mad_mql.Session.refresh st.session;
-          let out =
-            match req with
-            | Wire.Query s -> Ok (Mad_mql.Session.run_to_string st.session s)
-            | Wire.Exec s -> Ok (summarize (Mad_mql.Session.run st.session s))
-            | Wire.Explain s -> Ok (Mad_mql.Session.explain st.session s)
-            | Wire.Stats | Wire.Health | Wire.Ping | Wire.Quit -> assert false
-          in
+          let b = st.reply in
+          (match req with
+           | Wire.Query s ->
+             let limit = Buffer.length b + t.cfg.max_frame in
+             Mad_mql.Session.render_into ~limit st.session b (Mad_mql.Session.run st.session s)
+           | Wire.Exec s -> Buffer.add_string b (summarize (Mad_mql.Session.run st.session s))
+           | Wire.Explain s -> Buffer.add_string b (Mad_mql.Session.explain st.session s)
+           | Wire.Stats | Wire.Health | Wire.Ping | Wire.Quit -> assert false);
           st.last_epoch <- Database.epoch t.db;
-          out
-        with Err.Mad_error msg ->
+          Wire.Ok
+        with
+        | Err.Mad_error msg ->
           st.last_epoch <- Database.epoch t.db;
-          Error msg)
+          Wire.reply_error st.reply msg;
+          Wire.Error
+        | Mad.Render.Too_large ->
+          st.last_epoch <- Database.epoch t.db;
+          Wire.reply_error st.reply (Wire.reply_cap_error t.cfg.max_frame);
+          Wire.Error)
   in
   let t_exec1 = Mad_obs.Monotonic.ticks () in
   (* the commit hooks (WAL flush + publication) ran inside the session
@@ -277,38 +288,40 @@ let eval_locked t st req =
       ("fsync", t_fsync1 - t_exec1, t_fsync1);
     ]
   in
-  match r with
-  | Ok p -> (Wire.Ok, p, phases)
-  | Error m -> (Wire.Error, m, phases)
+  (r, phases)
 
+(* answer one request into [st.reply]: its status and engine phases *)
 let handle_request t st req =
   match req with
-  | Wire.Ping -> (Wire.Pong, "", [])
-  | Wire.Quit -> (Wire.Bye, "", [])
+  | Wire.Ping -> (Wire.Pong, [])
+  | Wire.Quit -> (Wire.Bye, [])
   | Wire.Stats ->
     let registry = Mad_obs.Obs.registry t.obs in
     Mad_obs.Timeline.update_runtime ~epoch:(Database.epoch t.db) registry;
-    (Wire.Ok, Mad_obs.Registry.expose registry, [])
+    Buffer.add_string st.reply (Mad_obs.Registry.expose registry);
+    (Wire.Ok, [])
   | Wire.Health ->
     let tl = Mad_obs.Timeline.configure () in
     ignore
       (Mad_obs.Timeline.tick ~epoch:(Database.epoch t.db) tl
          (Mad_obs.Obs.registry t.obs));
-    (Wire.Ok, Mad_obs.Json.to_string (Mad_obs.Timeline.health_json tl), [])
+    Buffer.add_string st.reply (Mad_obs.Json.to_string (Mad_obs.Timeline.health_json tl));
+    (Wire.Ok, [])
   | Wire.Query _ | Wire.Exec _ | Wire.Explain _ -> eval_locked t st req
 
 (* the request/response loop of one established connection; returns
    when the peer quits, times out, violates the protocol or the
    server stops *)
 let session_loop t st cid fd =
-  let respond req status payload =
-    Mad_obs.Metric.add t.c_bytes_out (Wire.resp_bytes payload);
+  let respond req status phases =
+    let status, frame = Wire.reply_finish ~max_len:t.cfg.max_frame st.reply status phases in
+    Mad_obs.Metric.add t.c_bytes_out (Bytes.length frame);
     Mad_obs.Metric.incr
       (Mad_obs.Obs.counter
          ~labels:[ ("op", Wire.req_name req) ]
          t.obs "serve.requests");
     if status = Wire.Error then Mad_obs.Metric.incr t.c_errors;
-    Wire.write_resp fd status payload
+    Wire.write_all fd (Bytes.unsafe_to_string frame)
   in
   let rec loop () =
     if Atomic.get t.stop then Wire.write_resp fd Wire.Bye ""
@@ -354,7 +367,9 @@ let session_loop t st cid fd =
       | Wire.Msg (req, meta) ->
         Mad_obs.Metric.add t.c_bytes_in (Wire.req_bytes req);
         let t0 = Mad_obs.Monotonic.ticks () in
-        let status, payload, eng_phases = handle_request t st req in
+        let want_phases = match meta with Some m -> m.Wire.want_phases | None -> false in
+        Wire.reply_start st.reply ~phases:want_phases;
+        let status, eng_phases = handle_request t st req in
         let t1 = Mad_obs.Monotonic.ticks () in
         let eng name =
           match List.find_opt (fun (k, _, _) -> k = name) eng_phases with
@@ -368,12 +383,12 @@ let session_loop t st cid fd =
         (* phase-annotated response when a v2 client asked for it; the
            "write" phase cannot describe itself, so the wire breakdown
            closes with the residual up to response assembly *)
-        let payload =
-          match meta with
-          | Some m when m.Wire.want_phases ->
+        let phases =
+          if not want_phases then None
+          else
             let us ns = float_of_int ns /. 1e3 in
             let accounted = lock_ns + exec_ns + wal_ns + fsync_ns in
-            Wire.encode_result_with_phases payload
+            Some
               [
                 ("lock", us lock_ns);
                 ("exec", us exec_ns);
@@ -381,9 +396,8 @@ let session_loop t st cid fd =
                 ("fsync", us fsync_ns);
                 ("other", us (max 0 (t1 - t0 - accounted)));
               ]
-          | _ -> payload
         in
-        respond req status payload;
+        respond req status phases;
         let t_end = Mad_obs.Monotonic.ticks () in
         let dur_ns = t_end - t0 in
         let write_ns = t_end - t1 in
@@ -467,7 +481,9 @@ let serve_conn t fd peer =
           Mad_mql.Session.create ~obs:(Mad_obs.Obs.create ()) t.db
         in
         ignore (Mad_mql.Session.enable_digest session);
-        let st = { session; last_epoch = -1; appended = 0; acked = 0 } in
+        let st =
+          { session; last_epoch = -1; appended = 0; acked = 0; reply = Buffer.create 4096 }
+        in
         (match t.durable with
          | Some h ->
            (* runs inside [eval_locked]'s engine section, right after

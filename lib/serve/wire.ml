@@ -78,15 +78,6 @@ let decode_phases s =
              let v = String.sub part (i + 1) (String.length part - i - 1) in
              Option.map (fun f -> (k, f)) (float_of_string_opt v))
 
-let encode_result_with_phases result phases =
-  let p = encode_phases phases in
-  let rl = String.length result in
-  let b = Bytes.create (4 + rl + String.length p) in
-  Bytes.set_int32_le b 0 (Int32.of_int rl);
-  Bytes.blit_string result 0 b 4 rl;
-  Bytes.blit_string p 0 b (4 + rl) (String.length p);
-  Bytes.unsafe_to_string b
-
 let decode_result_with_phases s =
   if String.length s < 4 then None
   else
@@ -280,4 +271,46 @@ let read_resp ?max_len ~keep_waiting fd =
 let req_bytes r =
   let m = match r with Query _ | Exec _ | Explain _ -> meta_bytes | _ -> 0 in
   header_bytes + m + String.length (req_payload r)
-let resp_bytes payload = header_bytes + String.length payload
+
+(* --- responses built in place --------------------------------------- *)
+
+let reply_cap_error cap = Printf.sprintf "result exceeds the %d byte reply cap" cap
+
+(* Cut the buffer to [n] bytes.  One past 1 MiB gives its storage
+   back, so a large reply does not stay pinned to its connection. *)
+let rewind b n =
+  if Buffer.length b <= 1 lsl 20 then Buffer.truncate b n
+  else begin
+    Buffer.reset b;
+    Buffer.add_string b (String.make n '\000')
+  end
+
+let reply_start b ~phases =
+  rewind b 0;
+  Buffer.add_string b (String.make (if phases then header_bytes + 4 else header_bytes) '\000')
+
+let reply_error b msg =
+  rewind b header_bytes;
+  Buffer.add_string b msg
+
+let reply_finish ~max_len b status phases =
+  let rl = Buffer.length b - header_bytes - 4 in
+  let phased =
+    match phases with
+    | Some p when status = Ok ->
+      Buffer.add_string b (encode_phases p);
+      true
+    | Some _ | None -> false
+  in
+  let status =
+    if Buffer.length b - header_bytes <= max_len then status
+    else begin
+      reply_error b (reply_cap_error max_len);
+      Error
+    end
+  in
+  let f = Buffer.to_bytes b in
+  Bytes.set_int32_le f 0 (Int32.of_int (Bytes.length f - header_bytes));
+  Bytes.set_uint8 f 4 (status_code status);
+  if phased && status = Ok then Bytes.set_int32_le f header_bytes (Int32.of_int rl);
+  (status, f)

@@ -86,13 +86,11 @@ val encode_phases : (string * float) list -> string
 val decode_phases : string -> (string * float) list
 (** Inverse of {!encode_phases}; malformed segments are dropped. *)
 
-val encode_result_with_phases : string -> (string * float) list -> string
-(** The phase-carrying [Ok] payload: u32 LE result length, the result,
-    then the encoded phases. *)
-
 val decode_result_with_phases : string -> (string * (string * float) list) option
-(** [None] when the payload is too short or the embedded length is
-    inconsistent. *)
+(** The result and phases of a phase-carrying [Ok] payload (u32 LE
+    result length, the result, then the encoded phases; {!reply_finish}
+    builds it); [None] when the payload is too short or the embedded
+    length is inconsistent. *)
 
 type status = Ok | Error | Busy | Pong | Bye
 
@@ -160,5 +158,27 @@ val req_bytes : req -> int
 (** On-wire size of the request (header + payload, including the
     statement metadata prefix). *)
 
-val resp_bytes : string -> int
-(** On-wire size of a response with this payload. *)
+(** {1 Responses built in place}
+
+    The server renders a reply straight into one buffer behind a
+    reserved header, then patches the header and writes the frame
+    once. *)
+
+val reply_cap_error : int -> string
+(** ["result exceeds the N byte reply cap"]: the error a reply whose
+    payload would pass the cap of [N] bytes is answered with. *)
+
+val reply_start : Buffer.t -> phases:bool -> unit
+(** Empty the buffer and reserve the frame header, plus the result
+    length of a phase-carrying payload when [phases]; the payload is
+    appended after it. *)
+
+val reply_error : Buffer.t -> string -> unit
+(** Replace the payload (and any reserved result length) by an error
+    message. *)
+
+val reply_finish :
+  max_len:int -> Buffer.t -> status -> (string * float) list option -> status * bytes
+(** Append the phases to an [Ok] payload started with [~phases:true],
+    turn a payload over [max_len] bytes into {!reply_cap_error}, and
+    return the final status with the whole frame, header patched. *)

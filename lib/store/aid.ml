@@ -12,7 +12,7 @@ let compare = Int.compare
 let equal = Int.equal
 let hash = Fun.id
 let pp ppf id = Fmt.pf ppf "@%d" id
-let to_string id = Format.asprintf "%a" pp id
+let to_string id = "@" ^ string_of_int id
 
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)

@@ -74,7 +74,7 @@ let bom_explosions () =
       show R.Sub None;
       show R.Super None;
       show R.Sub (Some 1);
-      Format.asprintf "%a" (R.pp_molecule ~expand_shared:true db t) m;
+      Format.asprintf "%a" (R.pp_molecule db t) m;
     ]
 
 (* the WITH component's "| node" lines; the header is printed under

@@ -446,7 +446,18 @@ let prop_mol_roundtrip =
                        } );
                  where = pred_opt;
                }))
-        (pair (opt pred_gen) bool))
+        (pair
+           (opt
+              (frequency
+                 [
+                   (3, pred_gen);
+                   (* DEPTH, a keyword elsewhere, as an attribute name *)
+                   ( 1,
+                     map2
+                       (fun n p -> Mad.Qual.(And (attr "state" "DEPTH" >=% int n, p)))
+                       (int_bound 3) pred_gen );
+                 ]))
+           bool))
   in
   let arb =
     Q.make stmt_gen ~print:(fun s -> Mad_mql.Ast.to_string s)
@@ -934,6 +945,98 @@ let prop_anon_delete_shared_safe =
            (fun id -> Aid.Set.mem id shared || not (alive id))
            (Mad.Molecule.atoms victim))
 
+(* ------------------------------------------------------------------ *)
+(* The child-index walker against the reference fold                    *)
+
+(* Molecule sets over geo, VLSI and BOM structures: as derived, then
+   with atoms dropped from non-root components, random links along
+   each edge (endpoints anywhere in the database), reflexive links
+   among the molecule's atoms, and random Π projections. *)
+let prop_render_oracle =
+  Q.Test.make ~count:40 ~name:"buffer walker = reference renderer (random molecule sets)"
+    (Q.quad geo_params bom_params vlsi_params Q.int) (fun (gp, bp, vp, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let coin () = Random.State.bool rng in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      let ids db node = Aid.Set.elements (Database.atom_ids db node) in
+      let perturb db (mt : MT.t) reflexive =
+        let molecule (m : Mad.Molecule.t) =
+          let by_node =
+            Mad.Molecule.Smap.mapi
+              (fun n atoms ->
+                if n = Mad.Mdesc.root mt.desc then atoms
+                else Aid.Set.filter (fun _ -> Random.State.int rng 4 > 0) atoms)
+              m.by_node
+          in
+          let along (e : Mad.Mdesc.edge) =
+            match (ids db e.from_at, ids db e.to_at) with
+            | [], _ | _, [] -> []
+            | ps, cs ->
+              List.init (Random.State.int rng 4) (fun _ ->
+                  let p = pick ps and c = pick cs in
+                  match e.dir with `Fwd -> Link.v e.link p c | `Bwd -> Link.v e.link c p)
+          in
+          let self =
+            match (reflexive, Aid.Set.elements (Mad.Molecule.atoms m)) with
+            | Some (lt, node), _ :: _ ->
+              let mine = Aid.Set.elements (Mad.Molecule.component m node) in
+              List.init (Random.State.int rng 4) (fun _ ->
+                  Link.v lt (pick (if mine = [] then ids db node else mine)) (pick (ids db node)))
+            | _ -> []
+          in
+          let extra = self @ List.concat_map along (Mad.Mdesc.edges mt.desc) in
+          Mad.Molecule.v ~root:m.root ~by_node
+            ~links:(List.fold_left (fun s l -> Link.Set.add l s) m.links extra)
+        in
+        { mt with occ = List.map molecule mt.occ }
+      in
+      let project db (mt : MT.t) =
+        let items =
+          List.filter_map
+            (fun n ->
+              if n <> Mad.Mdesc.root mt.desc && coin () then None
+              else if coin () then Some (n, None)
+              else
+                let attrs = (Database.atom_type db n).Schema.Atom_type.attrs in
+                Some (n, Some [ (pick attrs).Schema.Attr.name ]))
+            (Mad.Mdesc.nodes mt.desc)
+        in
+        try [ MA.project db ~name:"p" items mt ] with Err.Mad_error _ -> []
+      in
+      let sets db reflexive desc =
+        let mt = MA.define db ~name:"t" desc in
+        [ mt; perturb db mt reflexive ] @ project db mt @ project db (perturb db mt reflexive)
+        |> List.map (fun mt -> (mt, db))
+      in
+      let geo = (Geo_gen.build gp).Geo_grid.db
+      and vlsi = (Vlsi_gen.build vp).Vlsi_gen.db
+      and bom = (Bom_gen.build bp).Bom_gen.db in
+      let cases =
+        List.concat_map (sets geo None)
+          [
+            Geo_schema.mt_state_desc geo;
+            Geo_schema.point_neighborhood_desc geo;
+            Geo_schema.mt_river_desc geo;
+          ]
+        @ List.concat_map
+            (sets vlsi (Some ("instantiates", "cell")))
+            [
+              Mad.Mdesc.v vlsi ~nodes:[ "cell"; "pin"; "net" ]
+                ~edges:[ ("cell-pin", "cell", "pin"); ("net-pin", "pin", "net") ];
+              Mad.Mdesc.v vlsi ~nodes:[ "net"; "pin"; "cell" ]
+                ~edges:[ ("net-pin", "net", "pin"); ("cell-pin", "pin", "cell") ];
+            ]
+        @ sets bom (Some ("composition", "part")) (Mad.Mdesc.v bom ~nodes:[ "part" ] ~edges:[])
+      in
+      List.for_all
+        (fun ((mt : MT.t), db) ->
+          let want = Render_ref.molecule_type db mt in
+          let got = Format.asprintf "%a" (Mad.Render.pp_molecule_type db) mt in
+          String.equal want got
+          || Q.Test.fail_reportf "%s over %s:@.reference:@.%s@.walker:@.%s" mt.name
+               (Mad.Mdesc.to_string mt.desc) want got)
+        cases)
+
 let suite =
   List.map to_alcotest
     [
@@ -966,4 +1069,5 @@ let suite =
       prop_mad_atom_ops_equal_relational;
       prop_mol_roundtrip;
       prop_value_order_total;
+      prop_render_oracle;
     ]

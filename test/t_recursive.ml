@@ -259,6 +259,29 @@ let test_recursive_set_ops_via_mql () =
       (List.length r.R.occ)
   | _ -> Alcotest.fail "expected recursive result"
 
+(* DEPTH is a keyword, yet after '.' it names the pseudo-attribute:
+   the MOL spelling selects what the algebra's restriction does *)
+let test_depth_via_mql () =
+  let bom = Bom_gen.build Bom_gen.default in
+  let db = bom.Bom_gen.db in
+  let s = Mad_mql.Session.create db in
+  let roots (occ : R.molecule list) = List.map (fun (m : R.molecule) -> m.R.root) occ in
+  let deep =
+    R.restrict db
+      Mad.Qual.(Exists ("part", attr "part" "DEPTH" >=% int 2))
+      (R.define db ~name:"all" (R.v db ~root_type:"part" ~link:"composition" ()))
+      ~name:"deep"
+  in
+  match
+    Mad_mql.Session.run s
+      "SELECT ALL FROM part RECURSIVE BY composition WHERE EXISTS part (part.DEPTH >= 2);"
+  with
+  | Mad_mql.Session.Result (Mad_mql.Translate.Recursive r) ->
+    check "some but not all parts are deep" true
+      (deep.R.occ <> [] && List.length deep.R.occ < Database.count_atoms db "part");
+    check "MOL DEPTH = algebra DEPTH" true (roots r.R.occ = roots deep.R.occ)
+  | _ -> Alcotest.fail "expected recursive result"
+
 let test_non_reflexive_rejected () =
   let b = Geo_brazil.build () in
   let db = Geo_brazil.db b in
@@ -387,4 +410,5 @@ let suite =
       test_recursive_set_ops;
     Alcotest.test_case "recursive set ops via MOL" `Quick
       test_recursive_set_ops_via_mql;
+    Alcotest.test_case "DEPTH via MOL" `Quick test_depth_via_mql;
   ]

@@ -202,21 +202,24 @@ let test_wire_v2_codec () =
       (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Bad_magic -> ()
        | _ -> Alcotest.fail "short payload must be rejected");
-      (* phase codec round trip, including the empty list *)
+      (* phase codec round trip through the server's in-place reply
+         builder, including the empty list *)
+      let phased result phases =
+        let b = Buffer.create 64 in
+        Wire.reply_start b ~phases:true;
+        Buffer.add_string b result;
+        let _, f = Wire.reply_finish ~max_len:Wire.default_max_frame b Wire.Ok (Some phases) in
+        Bytes.sub_string f Wire.header_bytes (Bytes.length f - Wire.header_bytes)
+      in
       let phases = [ ("lock", 12.5); ("exec", 0.0); ("fsync", 3250.125) ] in
-      (match
-         Wire.decode_result_with_phases
-           (Wire.encode_result_with_phases "result text" phases)
-       with
+      (match Wire.decode_result_with_phases (phased "result text" phases) with
        | Some (r, got) ->
          check_string "result survives" "result text" r;
          check_int "phase count" 3 (List.length got);
          check "phase values survive" true
            (List.assoc "fsync" got = 3250.125 && List.assoc "lock" got = 12.5)
        | None -> Alcotest.fail "phase payload did not decode");
-      (match
-         Wire.decode_result_with_phases (Wire.encode_result_with_phases "" [])
-       with
+      (match Wire.decode_result_with_phases (phased "" []) with
        | Some ("", []) -> ()
        | _ -> Alcotest.fail "empty phase payload");
       (* malformed phase payloads are rejected, not misread *)
@@ -319,6 +322,40 @@ let test_basic_requests () =
   check "health is a verdict document" true (contains ~affix:"\"state\"" doc);
   Client.close c;
   check_int "one connection admitted" 1 (Serve.connections srv)
+
+(* A product's reply passes the connection's frame cap: the walker
+   stops at the cap, the reply is the typed cap error, and the
+   connection goes on serving. *)
+let test_reply_cap () =
+  let geo () = (Workloads.Geo_gen.build Workloads.Geo_gen.default).Workloads.Geo_grid.db in
+  let product = "SELECT ALL FROM state-area-edge-point, state-area-edge-point, point;" in
+  let cap = 64 * 1024 in
+  let s = Mad_mql.Session.create (geo ()) in
+  let b = Buffer.create 1024 in
+  (match Mad_mql.Session.render_into ~limit:cap s b (Mad_mql.Session.run s product) with
+   | () -> Alcotest.fail "a 9 MB product rendered under a 64 kB limit"
+   | exception Mad.Render.Too_large ->
+     check "the walker stops within a line of the cap" true (Buffer.length b < cap + 256));
+  let config = { Serve.default_config with Serve.max_frame = cap } in
+  with_server ~config (geo ()) @@ fun srv ->
+  let c = connect_ok srv in
+  let expect_cap = function
+    | Error msg -> check_string "typed cap error" (Wire.reply_cap_error cap) msg
+    | Ok _ -> Alcotest.fail "over-cap reply answered Ok"
+  in
+  expect_cap (Client.query c product);
+  expect_cap (Result.map fst (Client.query_traced c product));
+  ignore (Client.query c "DEFINE MOLECULE mts AS state-area-edge-point;");
+  let next = "SELECT ALL FROM mts WHERE state.hectare >= 1000;" in
+  ignore (Mad_mql.Session.run s "DEFINE MOLECULE mts AS state-area-edge-point;");
+  (* the result's generated name aside, the in-process reply *)
+  let body r = List.tl (String.split_on_char '\n' r) in
+  (match Client.query c next with
+   | Ok out ->
+     check "the connection serves on" true
+       (body out = body (Mad_mql.Session.run_to_string s next))
+   | Error msg -> Alcotest.failf "after the cap: %s" msg);
+  Client.close c
 
 (* a raw hello proposing [v]: the server's verdict *)
 let hello srv v =
@@ -666,6 +703,7 @@ let suite =
     Alcotest.test_case "coordinator leader failure" `Quick
       test_coordinator_leader_failure;
     Alcotest.test_case "basic requests" `Quick test_basic_requests;
+    Alcotest.test_case "reply cap is a typed error" `Quick test_reply_cap;
     Alcotest.test_case "handshake version mismatch" `Quick test_version_mismatch;
     Alcotest.test_case "handshake refuses wire v1" `Quick test_v1_refused;
     Alcotest.test_case "request phases partition latency" `Quick
