@@ -31,8 +31,8 @@ let add_line b db ~depth head node attrs id =
 
 let to_string f = let b = Buffer.create 4096 in f b; Buffer.contents b
 
-let atom_label ?mt db node id =
-  to_string (fun b -> add_line b db ~depth:0 "" node (label_attrs ?mt db node) id)
+let atom_label db node id =
+  to_string (fun b -> add_line b db ~depth:0 "" node (label_attrs db node) id)
 
 module Itbl = Hashtbl.Make (Int)
 

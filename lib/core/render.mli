@@ -23,8 +23,8 @@ val add_line :
 val to_string : (Buffer.t -> unit) -> string
 (** What a walker writes into a fresh buffer. *)
 
-val atom_label : ?mt:Molecule_type.t -> Database.t -> string -> Aid.t -> string
-(** The label of one atom of a node. *)
+val atom_label : Database.t -> string -> Aid.t -> string
+(** The label of one atom of a node, from all of its attributes. *)
 
 val add_molecule_type : ?limit:int -> Database.t -> Buffer.t -> Molecule_type.t -> unit
 (** A header line, then each molecule's tree and a blank line. *)

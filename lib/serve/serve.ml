@@ -240,30 +240,31 @@ let eval_locked t st req =
           (float_of_int (Mad_obs.Monotonic.ticks () - t_lock1) /. 1e3);
         Mutex.unlock t.engine)
       (fun () ->
-        try
-          (* another connection may have mutated the store since this
-             session last looked: re-derive its catalog first *)
-          let e = Database.epoch t.db in
-          if st.last_epoch <> e then Mad_mql.Session.refresh st.session;
-          let b = st.reply in
-          (match req with
-           | Wire.Query s ->
-             let limit = Buffer.length b + t.cfg.max_frame in
-             Mad_mql.Session.render_into ~limit st.session b (Mad_mql.Session.run st.session s)
-           | Wire.Exec s -> Buffer.add_string b (summarize (Mad_mql.Session.run st.session s))
-           | Wire.Explain s -> Buffer.add_string b (Mad_mql.Session.explain st.session s)
-           | Wire.Stats | Wire.Health | Wire.Ping | Wire.Quit -> assert false);
-          st.last_epoch <- Database.epoch t.db;
-          Wire.Ok
-        with
-        | Err.Mad_error msg ->
-          st.last_epoch <- Database.epoch t.db;
-          Wire.reply_error st.reply msg;
-          Wire.Error
-        | Mad.Render.Too_large ->
-          st.last_epoch <- Database.epoch t.db;
-          Wire.reply_error st.reply (Wire.reply_cap_error t.cfg.max_frame);
-          Wire.Error)
+        let status =
+          try
+            (* another connection may have mutated the store since this
+               session last looked: re-derive its catalog first *)
+            let e = Database.epoch t.db in
+            if st.last_epoch <> e then Mad_mql.Session.refresh st.session;
+            let b = st.reply in
+            (match req with
+             | Wire.Query s ->
+               let limit = Buffer.length b + t.cfg.max_frame in
+               Mad_mql.Session.render_into ~limit st.session b (Mad_mql.Session.run st.session s)
+             | Wire.Exec s -> Buffer.add_string b (summarize (Mad_mql.Session.run st.session s))
+             | Wire.Explain s -> Buffer.add_string b (Mad_mql.Session.explain st.session s)
+             | Wire.Stats | Wire.Health | Wire.Ping | Wire.Quit -> assert false);
+            Wire.Ok
+          with
+          | Err.Mad_error msg ->
+            Wire.reply_error st.reply msg;
+            Wire.Error
+          | Mad.Render.Too_large ->
+            Wire.reply_error st.reply (Wire.reply_cap_error t.cfg.max_frame);
+            Wire.Error
+        in
+        st.last_epoch <- Database.epoch t.db;
+        status)
   in
   let t_exec1 = Mad_obs.Monotonic.ticks () in
   (* the commit hooks (WAL flush + publication) ran inside the session
